@@ -211,14 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "digest is byte-identical to the serial -j 1 run",
     )
     campaign_parser.add_argument(
-        "--legacy-restore", action="store_true",
-        help="disable the copy-on-write delta checkpoint and the "
-             "fast-trigger path: every rollback pays the eager full-copy "
-             "restore and faults fire from the legacy event injector "
-             "(digest-identical to the default; used by the CI "
-             "equivalence gate)",
-    )
-    campaign_parser.add_argument(
         "--smoke", action="store_true",
         help="CI gate: exit non-zero unless the campaign classified every "
              "trial and detected at least one fault",
@@ -458,9 +450,6 @@ def _command_campaign(args: argparse.Namespace, out=sys.stdout) -> int:
         recovery=args.recovery,
         kinds=tuple(args.kind) if args.kind else FAULT_KINDS,
     )
-    if args.legacy_restore:
-        kwargs["delta_restore"] = False
-        kwargs["fast_triggers"] = False
     try:
         if args.builtin is not None:
             result = session.run_campaign(builtin=args.builtin, **kwargs)

@@ -1,14 +1,13 @@
 """Structured execution events: the machine's observation layer.
 
 The execution engines publish typed events instead of exposing ad-hoc
-callbacks (the old ``trace_hook``) or internal buffers (the old
-``recent_pcs`` list).  Detectors, tracers, forensics recorders, and
-experiment harnesses subscribe to exactly the events they need, and an
-engine with **zero subscribers pays nothing**: the emit sites are guarded
-by a truthiness check on the per-type subscriber list, so no event object
-is ever allocated on the fast path.  This mirrors how the hardware-CFI
-literature structures detectors as pipeline *observers* rather than inline
-special cases.
+per-instruction callbacks or internal buffers.  Detectors, tracers,
+forensics recorders, and experiment harnesses subscribe to exactly the
+events they need, and an engine with **zero subscribers pays nothing**:
+the emit sites are guarded by a truthiness check on the per-type
+subscriber list, so no event object is ever allocated on the fast path.
+This mirrors how the hardware-CFI literature structures detectors as
+pipeline *observers* rather than inline special cases.
 
 Event taxonomy (payload fields and when each fires):
 
@@ -134,7 +133,7 @@ class MemoryFaulted:
 
 @dataclass(frozen=True)
 class FaultInjected:
-    """The fault injector corrupted live machine or kernel state.
+    """A fault campaign corrupted live machine or kernel state.
 
     ``kind`` names the fault class (``"mem"``, ``"reg"``, ``"taint-mem"``,
     ``"taint-reg"``, ``"syscall-errno"``, ``"syscall-short-read"``,

@@ -354,6 +354,9 @@ def _bind_syscall(instr: Instr, pc: int, m: MachineState) -> Executor:
 
     def op() -> int:
         stats.syscalls += 1
+        # The run loops keep pc in a local; publish it so the kernel
+        # (fault reports, crash text) sees this syscall's address.
+        m.pc = pc
         handler = m.syscall_handler
         if handler is None:
             raise SimulatorFault(f"syscall at {pc:#x} with no kernel attached")

@@ -73,8 +73,6 @@ class Simulator(MachineState):
         superblocks: bool = True,
     ) -> None:
         super().__init__(executable, policy, syscall_handler, use_caches, taint_labels)
-        self._trace_hook: Optional[Callable[["Simulator", int, Instr], None]] = None
-        self._trace_adapter: Optional[Callable[[InstructionRetired], None]] = None
         #: Per-slot executor bindings, parallel to ``executable.instructions``.
         self._ops = bind_program(self)
         # Parallel mnemonic/class name lists so the per-step instruction-mix
@@ -91,45 +89,6 @@ class Simulator(MachineState):
         # closure outlives a text write (re-fusion happens lazily at the
         # next dispatch, from the same immutable decode).
         self.superblocks.invalidate()
-
-    # ------------------------------------------------------------------
-    # deprecated observation shim (prefer the event bus)
-    # ------------------------------------------------------------------
-
-    @property
-    def trace_hook(self) -> Optional[Callable[["Simulator", int, Instr], None]]:
-        """Deprecated per-instruction hook ``(sim, pc, instr) -> None``.
-
-        Back-compat shim over an ``InstructionRetired`` subscription; new
-        code should subscribe to the event bus directly.  Unlike the old
-        pre-execution hook, the shim observes *retired* instructions, so a
-        faulting or detector-flagged instruction is not reported.
-        """
-        return self._trace_hook
-
-    @trace_hook.setter
-    def trace_hook(
-        self, hook: Optional[Callable[["Simulator", int, Instr], None]]
-    ) -> None:
-        import warnings
-
-        warnings.warn(
-            "Simulator.trace_hook is deprecated; subscribe to "
-            "InstructionRetired on the event bus instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._trace_adapter is not None:
-            self.events.unsubscribe(InstructionRetired, self._trace_adapter)
-            self._trace_adapter = None
-        self._trace_hook = hook
-        if hook is not None:
-            def adapter(event: InstructionRetired, _hook=hook) -> None:
-                _hook(self, event.pc, event.instr)
-
-            self._trace_adapter = self.events.subscribe(
-                InstructionRetired, adapter
-            )
 
     # ------------------------------------------------------------------
     # execution loop
@@ -251,7 +210,7 @@ class Simulator(MachineState):
         checks and instruction-mix accounting per block.  Falls back to
         an exact copy of the unfused per-instruction body whenever a
         block cannot run fused: an ``InstructionRetired`` subscriber
-        needs per-instruction events (tracing, fault injectors, defense
+        needs per-instruction events (tracing, golden-run recording, defense
         comparators), the remaining budget is smaller than the block, or
         the block is a single instruction.  On a mid-block exception the
         sync closure's ``stats.instructions`` updates pinpoint the

@@ -11,8 +11,8 @@ error-detection mechanisms like the paper's pointer-taintedness detector.
 The moving parts:
 
 * :mod:`~repro.fault.triggers` -- *when* to inject: a small trigger grammar
-  (``insn:N``, ``pc:0xADDR:K``, ``syscall:NUM:K``) resolved over the
-  machine's event bus.
+  (``insn:N``, ``pc:0xADDR:K``, ``syscall:NUM:K``) resolved to exact
+  retirement indices of the golden run.
 * :mod:`~repro.fault.faults` -- *what* to inject: bit-flip specs for
   memory / registers / their taint shadows, applied to a live
   :class:`~repro.cpu.machine.MachineState`, and the kernel-layer fault
@@ -44,7 +44,6 @@ from .campaign import (
 from .checkpoint import Checkpoint
 from .faults import (
     FAULT_KINDS,
-    FaultInjector,
     FaultSpec,
     STATE_FAULT_KINDS,
     SYSCALL_FAULT_KINDS,
@@ -68,7 +67,6 @@ __all__ = [
     "TrialRecord",
     "Checkpoint",
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultSpec",
     "STATE_FAULT_KINDS",
     "SYSCALL_FAULT_KINDS",

@@ -6,17 +6,20 @@ the standard SWIFI loop, built on this repo's checkpoint/rollback and
 watchdog primitives:
 
 1. **Golden run.**  Build the workload once, checkpoint the pre-run state
-   (machine + kernel), run fault-free, and record the observable baseline:
-   exit status, stdout, instruction count, the set of touched data pages,
-   and per-PC / per-syscall retirement counts for trigger sampling.
+   (machine + kernel), run fault-free on the functional engine, and record
+   the observable baseline: exit status, stdout, instruction count, the
+   set of touched data pages, and the per-PC / per-syscall retirement
+   indices that resolve every trigger to an exact fire point.
 2. **Plan.**  From ``random.Random(seed)``, draw the full list of
    ``(Trigger, FaultSpec)`` pairs up front.  The plan depends only on the
    seed and the golden run, never on trial outcomes, so a campaign is
    bit-for-bit reproducible.
 3. **Trials.**  For each plan entry: roll back to the pre-run checkpoint
-   (cheap -- the simulator and its decoded program are reused), arm the
-   watchdog (instruction budget = ``slack`` x golden length, plus a
-   generous wall-clock safety net), arm the fault, run, classify:
+   (cheap -- the simulator and its decoded program are reused) and
+   fast-forward through the golden epoch ladder, arm the watchdog
+   (instruction budget = ``slack`` x golden length, plus a generous
+   wall-clock safety net), run the fault-free prefix to the fire point,
+   inject, run the rest on the configured engine, classify:
 
    =========  ==========================================================
    detected   the taintedness detector raised a security exception
@@ -79,7 +82,6 @@ from ..mem.tainted_memory import MemoryFault
 from .checkpoint import Checkpoint
 from .faults import (
     FAULT_KINDS,
-    FaultInjector,
     FaultSpec,
     STATE_FAULT_KINDS,
     SYSCALL_FAULT_KINDS,
@@ -134,6 +136,15 @@ _EPOCH_STRIDE = 64
 _EPOCH_MAX = 16
 _EPOCH_BYTE_BUDGET = 32 << 20
 
+#: Events a golden prefix emits.  An epoch fast-forward skips the prefix,
+#: so any subscriber to one of these keeps trials on a plain rollback.
+_PREFIX_EVENTS = (
+    InstructionRetired,
+    SyscallEnter,
+    SyscallExit,
+    TaintPropagated,
+)
+
 
 @dataclass(frozen=True)
 class _Epoch:
@@ -164,6 +175,14 @@ class _Epoch:
     tainted_bytes_written: int
     kernel: object
     nbytes: int
+
+
+def _syscall_matches(golden: "GoldenRun", fault: SyscallFault) -> List[int]:
+    """Retirement indices of the golden syscalls ``fault`` matches."""
+    return [
+        index for index, number in golden.syscall_indices
+        if fault.matches(number)
+    ]
 
 
 @dataclass(frozen=True)
@@ -218,21 +237,10 @@ class CampaignConfig:
     superblocks: bool = True
     instruction_slack: float = 4.0
     max_seconds: float = 30.0
+    #: ``False`` rebuilds a fresh machine for every trial instead of
+    #: rolling one back: the slow, simple reference the checkpoint path
+    #: is tested against (digest-identical).
     reuse_snapshots: bool = True
-    #: Capture the pre-run checkpoint as a copy-on-write delta snapshot
-    #: (restore rewrites only the pages a trial dirtied).  ``False``
-    #: forces the legacy eager full copy.  Orthogonal to trial outcomes:
-    #: the campaign digest is identical either way (asserted in CI).
-    delta_restore: bool = True
-    #: Resolve insn/pc triggers to exact retirement indices against the
-    #: golden run and execute the pre-fire prefix as one fused
-    #: ``run(max_instructions=fire_at)`` burst instead of single-stepping
-    #: under an InstructionRetired subscriber.  Sound because the prefix
-    #: is deterministic and identical to the golden run until the fault
-    #: lands; automatically bypassed when event subscribers, the pipeline
-    #: engine, or deeper-than-recorded pc occurrences need the legacy
-    #: injector.  Digest-identical either way (asserted in CI).
-    fast_triggers: bool = True
     #: Process-pool width: ``1`` = serial (the default, legacy loop
     #: untouched), ``N > 1`` = that many pool workers, ``0`` = one per
     #: available core.  The campaign digest is identical for every value.
@@ -259,10 +267,9 @@ class CampaignConfig:
         return self.workers
 
 
-#: How many retirement indices the golden run records per PC.  Matches
-#: the plan's occurrence cap (``min(pc_count, 16)``), so every seeded pc
-#: trigger resolves to an exact fire index; explicit schedules asking
-#: for deeper occurrences fall back to the legacy event injector.
+#: How many retirement indices the golden run records per PC: the
+#: plan's occurrence cap (``min(pc_count, 16)``).  Explicit schedules
+#: raise it to their deepest pc occurrence.
 _PC_VISIT_DEPTH = 16
 
 
@@ -276,10 +283,13 @@ class GoldenRun:
     data_pages: Tuple[int, ...]
     pc_counts: Tuple[Tuple[int, int], ...]
     syscall_counts: Tuple[Tuple[int, int], ...]
-    #: Per PC, the 1-based retirement indices of its first
-    #: ``_PC_VISIT_DEPTH`` visits -- what lets the fast-trigger path turn
-    #: a ``pc@occurrence`` trigger into an exact instruction budget.
+    #: Per PC, the 1-based retirement indices of its first visits (as
+    #: deep as any planned occurrence) -- what turns a ``pc@occurrence``
+    #: trigger into an exact fire point.
     pc_visit_indices: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
+    #: ``(retirement index, number)`` of every syscall, in order -- what
+    #: turns a ``syscall@occurrence`` trigger into an exact fire point.
+    syscall_indices: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def observable(self) -> Tuple[int, str]:
@@ -434,10 +444,9 @@ class FaultCampaign:
         self._kernel: Optional[Kernel] = None
         self._checkpoint: Optional[Checkpoint] = None
         self._golden: Optional[GoldenRun] = None
-        # Lazy lookup maps for the fast-trigger path (built per process
-        # from the golden run on first use).
+        # Lazy pc -> visit indices map (built per process from the golden
+        # run on first use).
         self._pc_visit_map: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._pc_count_map: Optional[Dict[int, int]] = None
         #: Intermediate golden-run states for prefix fast-forward (empty
         #: when epochs are disabled or inapplicable; see _epochs_enabled).
         self._epoch_list: List[_Epoch] = []
@@ -470,25 +479,38 @@ class FaultCampaign:
     # phase 1: golden run
     # ------------------------------------------------------------------
 
+    def _pc_visit_depth(self) -> int:
+        """Visits to record per PC: deep enough for every planned and
+        scheduled pc trigger occurrence."""
+        depth = _PC_VISIT_DEPTH
+        for trigger, _ in self.schedule or ():
+            if trigger.kind == "pc":
+                depth = max(depth, trigger.occurrence)
+        return depth
+
     def _golden_run(
         self, sim: Simulator, kernel: Kernel
     ) -> GoldenRun:
         pc_counts: Dict[int, int] = {}
         pc_visits: Dict[int, List[int]] = {}
         syscall_counts: Dict[int, int] = {}
+        syscall_indices: List[Tuple[int, int]] = []
+        depth = self._pc_visit_depth()
 
         def count_pc(event: InstructionRetired) -> None:
             pc_counts[event.pc] = pc_counts.get(event.pc, 0) + 1
             visits = pc_visits.get(event.pc)
             if visits is None:
                 pc_visits[event.pc] = [event.index]
-            elif len(visits) < _PC_VISIT_DEPTH:
+            elif len(visits) < depth:
                 visits.append(event.index)
 
         def count_syscall(event: SyscallEnter) -> None:
             syscall_counts[event.number] = (
                 syscall_counts.get(event.number, 0) + 1
             )
+            # The syscall executes as its own retirement is counted.
+            syscall_indices.append((sim.stats.instructions, event.number))
 
         sim.events.subscribe(InstructionRetired, count_pc)
         sim.events.subscribe(SyscallEnter, count_syscall)
@@ -500,7 +522,7 @@ class FaultCampaign:
             if self._epochs_enabled():
                 exit_status = self._golden_run_with_epochs(sim, kernel)
             else:
-                exit_status = self._run_engine(sim)
+                exit_status = sim.run()
         except Exception as exc:
             raise ValueError(
                 f"workload {self.workload.name!r} golden run must exit "
@@ -530,31 +552,24 @@ class FaultCampaign:
             pc_visit_indices=tuple(
                 sorted((pc, tuple(v)) for pc, v in pc_visits.items())
             ),
+            syscall_indices=tuple(syscall_indices),
         )
 
     # ------------------------------------------------------------------
-    # the epoch ladder (golden-prefix fast-forward for fast triggers)
+    # the epoch ladder (golden-prefix fast-forward)
     # ------------------------------------------------------------------
 
     def _epochs_enabled(self) -> bool:
         """May this campaign build and use the epoch ladder?
 
         The ladder fast-forwards trials *past* the deterministic golden
-        prefix, so it needs both delta-restore plumbing (the deltas are
-        keyed by the checkpoint's live dirty sets) and the fast-trigger
-        path (legacy event injectors count occurrences from run start).
-        Label mode is excluded: an epoch would also have to carry a
-        label-table segment to replay; those campaigns keep the plain
-        fast-trigger path, whose digests are pinned identical anyway.
+        prefix; its deltas are keyed by the pre-run checkpoint's live
+        dirty sets, so fresh-rebuild campaigns have none.  Label mode is
+        excluded: an epoch would also have to carry a label-table
+        segment to replay; those campaigns roll back to the base, with
+        digests pinned identical anyway.
         """
-        config = self.config
-        return (
-            config.fast_triggers
-            and config.delta_restore
-            and config.reuse_snapshots
-            and config.engine == "functional"
-            and not config.taint_labels
-        )
+        return self.config.reuse_snapshots and not self.config.taint_labels
 
     def _golden_run_with_epochs(self, sim: Simulator, kernel: Kernel) -> int:
         """Run the golden workload, pausing at stride boundaries to
@@ -683,18 +698,18 @@ class FaultCampaign:
         sim.watchpoints.restore(epoch.watchpoints)
         kernel.restore(epoch.kernel)
 
-    def _restore_to_fire_point(
+    def _restore_to_pause_point(
         self,
         sim: Simulator,
         kernel: Kernel,
         checkpoint: Checkpoint,
-        fire_at: int,
+        pause_at: int,
     ) -> None:
         """Roll back and fast-forward to the deepest epoch at or below
-        ``fire_at`` (plain rollback when no epoch qualifies)."""
+        ``pause_at`` (plain rollback when no epoch qualifies)."""
         best: Optional[_Epoch] = None
         for epoch in self._epoch_list:
-            if epoch.instructions <= fire_at:
+            if epoch.instructions <= pause_at:
                 best = epoch
             else:
                 break
@@ -781,40 +796,43 @@ class FaultCampaign:
         return int(self.config.instruction_slack * golden.instructions) + 10_000
 
     def _fire_index(
-        self, golden: GoldenRun, trigger: Trigger
-    ) -> Optional[int]:
-        """Resolve an insn/pc trigger to its exact retirement index.
+        self,
+        golden: GoldenRun,
+        trigger: Trigger,
+        fault: Optional[SyscallFault] = None,
+    ) -> int:
+        """Resolve a trigger to the retirement index it fires at.
 
         Sound because the pre-fire prefix of a trial is deterministic and
         identical to the golden run (same checkpoint, fault not yet
-        applied), so the N-th visit of a PC retires at the same index it
-        did in the golden run.  Returns:
-
-        * the 1-based retirement index the fault fires *after*;
-        * ``golden.instructions + 1`` when the trigger never fires in the
-          golden prefix (pc absent, or occurrence beyond its golden
-          count) -- the trial then runs to a clean halt uninjected,
-          exactly like a never-firing legacy injector;
-        * ``None`` when the occurrence is beyond the recorded visit depth
-          but within the golden count (explicit schedules only) -- the
-          caller falls back to the legacy event injector.
+        applied), so the N-th visit of a PC -- or the N-th syscall the
+        armed ``fault`` matches -- retires at the same index it did in
+        the golden run.  A state fault lands right *after* the
+        instruction at this index retires; a syscall fault corrupts the
+        syscall at this index.  A trigger that never fires in the golden
+        run resolves to ``golden.instructions + 1``, so the trial runs
+        uninjected to the golden ending.
         """
+        never = golden.instructions + 1
         if trigger.kind == "insn":
             return trigger.value
+        if trigger.kind == "syscall":
+            matches = _syscall_matches(golden, fault)
+            if trigger.occurrence <= len(matches):
+                return matches[trigger.occurrence - 1]
+            return never
         visits = self._pc_visit_map
         if visits is None:
-            visits = dict(golden.pc_visit_indices)
-            self._pc_visit_map = visits
-            self._pc_count_map = dict(golden.pc_counts)
-        indices = visits.get(trigger.value)
-        occurrence = trigger.occurrence
-        if indices is None or occurrence > self._pc_count_map.get(
-            trigger.value, 0
-        ):
-            return golden.instructions + 1
-        if occurrence <= len(indices):
-            return indices[occurrence - 1]
-        return None
+            visits = self._pc_visit_map = dict(golden.pc_visit_indices)
+        indices = visits.get(trigger.value, ())
+        if trigger.occurrence <= len(indices):
+            return indices[trigger.occurrence - 1]
+        if len(indices) >= self._pc_visit_depth():
+            raise ValueError(
+                f"trigger {trigger} is deeper than the golden run recorded; "
+                f"pass it in the campaign schedule"
+            )
+        return never
 
     def _run_trial(
         self,
@@ -827,53 +845,59 @@ class FaultCampaign:
     ) -> Tuple[str, str, bool]:
         """One faulted execution; returns (outcome, detail, injected).
 
+        The fault-free prefix runs as one ``sim.run(max_instructions=...)``
+        burst on the functional engine -- fused, unless an
+        ``InstructionRetired`` subscriber asks for per-instruction events
+        -- and pauses exactly at the fire point; the fault lands, and the
+        rest runs on the configured engine.  Sound for the pipeline
+        engine too: it executes in program order through the same
+        ``sim.step()``, and trial records never include cycles.
+
         When ``checkpoint`` is given the trial performs its own rollback,
         which lets it fast-forward through the epoch ladder instead of
         re-executing the golden prefix; ``None`` means the caller already
-        put the machine in the pre-run state (fresh-rebuild benchmarking).
+        put the machine in the pre-run state (fresh-rebuild mode).
         """
-        injector: Optional[FaultInjector] = None
-        fire_at: Optional[int] = None
-        fast_fired = False
-        if (
-            trigger.kind != "syscall"
-            and self.config.fast_triggers
-            and self.config.engine == "functional"
-            and not sim.events.subscribers(InstructionRetired)
-            and not sim.events.subscribers(FaultInjected)
-        ):
-            fire_at = self._fire_index(golden, trigger)
-        if checkpoint is not None:
-            # Epoch fast-forward is only sound when the prefix skip is
-            # unobservable: exact fire index known, the ladder belongs to
-            # this machine's checkpoint, and nobody is subscribed to the
-            # events the skipped prefix would emit.  Syscall triggers
-            # (occurrence counting starts at run start) resolve no
-            # fire_at and therefore always roll back to the base.
-            if (
-                fire_at is not None
-                and self._epoch_list
-                and checkpoint is self._checkpoint
-                and not sim.events.subscribers(SyscallEnter)
-                and not sim.events.subscribers(SyscallExit)
-                and not sim.events.subscribers(TaintPropagated)
-            ):
-                self._restore_to_fire_point(sim, kernel, checkpoint, fire_at)
-            else:
-                checkpoint.restore(sim, kernel)
+        syscall_fault: Optional[SyscallFault] = None
         if trigger.kind == "syscall":
-            kernel.syscall_fault = SyscallFault(
+            syscall_fault = SyscallFault(
                 mode=SYSCALL_FAULT_MODES[spec.kind],
                 number=trigger.value,
                 occurrence=trigger.occurrence,
             )
-        elif fire_at is None:
-            injector = FaultInjector(sim, trigger, spec)
+            fire_at = self._fire_index(golden, trigger, syscall_fault)
+            # The syscall at fire_at is the one the fault corrupts, so
+            # the prefix stops just before it.
+            pause_at = fire_at - 1
+        else:
+            fire_at = pause_at = self._fire_index(golden, trigger)
+        if checkpoint is not None:
+            # Epoch fast-forward is only sound when the prefix skip is
+            # unobservable: the ladder belongs to this machine's
+            # checkpoint, and nobody is subscribed to the events the
+            # skipped prefix would emit.
+            if (
+                self._epoch_list
+                and checkpoint is self._checkpoint
+                and not any(map(sim.events.subscribers, _PREFIX_EVENTS))
+            ):
+                self._restore_to_pause_point(sim, kernel, checkpoint, pause_at)
+            else:
+                checkpoint.restore(sim, kernel)
+        if syscall_fault is not None:
+            # Matches the fast-forward skipped count as already seen.
+            done = sim.stats.instructions
+            syscall_fault.seen = sum(
+                1 for index in _syscall_matches(golden, syscall_fault)
+                if index <= done
+            )
+            kernel.syscall_fault = syscall_fault
+        state_fired = False
 
         def injected_flag() -> bool:
-            if fire_at is not None:
-                return fast_fired
-            return self._fired(injector, kernel)
+            if syscall_fault is not None:
+                return syscall_fault.fired
+            return state_fired
 
         # Relative budget: after an epoch fast-forward the machine already
         # stands at ``stats.instructions > 0``, and the watchdog must trip
@@ -885,37 +909,29 @@ class FaultCampaign:
             max_seconds=self.config.max_seconds,
         )
         try:
-            if fire_at is not None:
-                # Fast-trigger path: run the deterministic pre-fire prefix
-                # as one fused burst (no retirement subscriber, so the
-                # superblock tier stays engaged), pause exactly after the
-                # fire_at-th retirement, apply the same state mutation the
-                # event injector would, and resume under the still-armed
-                # watchdog.  A clean halt before fire_at means the trigger
-                # never fires (matches a never-firing legacy injector); a
-                # halt exactly *at* fire_at still takes the fault, like
-                # the retirement event of a halting instruction does.
-                paused = False
-                try:
-                    # fire_at is an absolute retirement index; trials
-                    # start from the pre-run checkpoint (instructions=0),
-                    # but stay relative for robustness.
-                    exit_status = sim.run(
-                        max_instructions=fire_at - sim.stats.instructions
+            # A clean halt before the pause point means the trigger never
+            # fires; a halt exactly *at* fire_at still takes a state
+            # fault, like the retirement of a halting instruction does.
+            paused = False
+            try:
+                exit_status = sim.run(
+                    max_instructions=pause_at - sim.stats.instructions
+                )
+            except ExecutionLimit as exc:
+                if (
+                    exc.reason != "instructions"
+                    or sim.stats.instructions != pause_at
+                ):
+                    raise
+                paused = True
+            if syscall_fault is None and sim.stats.instructions >= fire_at:
+                applied = apply_state_fault(spec, sim)
+                state_fired = True
+                if sim.events.subscribers(FaultInjected):
+                    sim.events.emit(
+                        FaultInjected(sim.recent_pcs[-1], spec.kind, applied)
                     )
-                except ExecutionLimit as exc:
-                    if (
-                        exc.reason != "instructions"
-                        or sim.stats.instructions != fire_at
-                    ):
-                        raise
-                    paused = True
-                if sim.stats.instructions >= fire_at:
-                    apply_state_fault(spec, sim)
-                    fast_fired = True
-                if paused:
-                    exit_status = self._run_engine(sim)
-            else:
+            if paused:
                 exit_status = self._run_engine(sim)
         except SecurityException as exc:
             return OUTCOME_DETECTED, f"alert: {exc.alert}", injected_flag()
@@ -934,8 +950,6 @@ class FaultCampaign:
             )
         finally:
             sim.disarm_watchdog()
-            if injector is not None:
-                injector.detach()
         injected = injected_flag()
         observable = (exit_status, kernel.process.stdout_text)
         if observable == golden.observable:
@@ -945,13 +959,6 @@ class FaultCampaign:
             f"exit={exit_status} stdout differs from golden",
             injected,
         )
-
-    @staticmethod
-    def _fired(injector: Optional[FaultInjector], kernel: Kernel) -> bool:
-        if injector is not None:
-            return injector.fired
-        fault = kernel.syscall_fault
-        return bool(fault is not None and fault.fired)
 
     def _recover(
         self,
@@ -974,9 +981,10 @@ class FaultCampaign:
             sim.halt(137)
             return detail + "; process killed (exit 137)", None
         # rollback-retry: restore the pre-fault checkpoint and re-execute
-        # without the fault.  The fault is gone by construction (the
-        # injector detached, the kernel fault is cleared below), so a
-        # matching retry proves the rollback restored clean state.
+        # without the fault.  The fault is gone by construction (a state
+        # fault is a one-shot mutation, the kernel fault is cleared
+        # below), so a matching retry proves the rollback restored clean
+        # state.
         kernel.syscall_fault = None
         checkpoint.restore(sim, kernel)
         sim.arm_watchdog(
@@ -1017,9 +1025,7 @@ class FaultCampaign:
         if self._golden is not None:
             return
         self._sim, self._kernel = self._make_machine()
-        self._checkpoint = Checkpoint(
-            self._sim, self._kernel, cow=self.config.delta_restore
-        )
+        self._checkpoint = Checkpoint(self._sim, self._kernel)
         self._golden = self._golden_run(self._sim, self._kernel)
 
     @property
@@ -1120,9 +1126,7 @@ class FaultCampaign:
                 # fresh machine already stands at the pre-run state, so
                 # the trial performs no rollback of its own.
                 sim, kernel = self._make_machine()
-                checkpoint = Checkpoint(
-                    sim, kernel, cow=self.config.delta_restore
-                )
+                checkpoint = Checkpoint(sim, kernel)
                 trial_subs = sim.events.subscribers(TrialCompleted)
                 trial_checkpoint = None
             outcome, detail, injected = self._run_trial(

@@ -1,4 +1,4 @@
-"""What to inject: fault specs and the event-bus-driven injector.
+"""What to inject: fault specs and how they corrupt machine state.
 
 State faults flip bits in a live :class:`~repro.cpu.machine.MachineState`:
 
@@ -19,23 +19,18 @@ Syscall-layer kinds (``syscall-errno``, ``syscall-short-read``,
 ``syscall-truncate``) are not applied here; the campaign arms them inside
 the kernel as a :class:`~repro.kernel.syscalls.SyscallFault`.
 
-:class:`FaultInjector` delivers a state fault at a
-:class:`~repro.fault.triggers.Trigger` point by subscribing to the
-machine's ``InstructionRetired`` stream, corrupting state *after* the
-triggering instruction committed, emitting ``FaultInjected``, and
-detaching itself (one shot).
+*When* a fault lands is decided by the campaign runner
+(:mod:`repro.fault.campaign`), which resolves every
+:class:`~repro.fault.triggers.Trigger` to an exact retirement index of
+the golden run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.events import FaultInjected, InstructionRetired
-from .triggers import Trigger
-
 __all__ = [
     "FAULT_KINDS",
-    "FaultInjector",
     "FaultSpec",
     "STATE_FAULT_KINDS",
     "SYSCALL_FAULT_KINDS",
@@ -136,56 +131,3 @@ def apply_state_fault(spec: FaultSpec, machine) -> str:
         )
         return f"taint r{spec.target} {taint:#x} -> {flipped:#x}"
     raise ValueError(f"{spec.kind!r} is not a state fault kind")
-
-
-class FaultInjector:
-    """One-shot state-fault delivery at a trigger point.
-
-    Subscribes to the machine's ``InstructionRetired`` events; when the
-    trigger condition is met the fault is applied, a ``FaultInjected``
-    event is emitted, and the injector unsubscribes itself so the re-run
-    after a rollback is fault-free by construction.
-    """
-
-    def __init__(self, machine, trigger: Trigger, spec: FaultSpec) -> None:
-        if trigger.kind == "syscall":
-            raise ValueError(
-                "syscall triggers are armed in the kernel, not the injector"
-            )
-        if spec.kind not in STATE_FAULT_KINDS:
-            raise ValueError(f"{spec.kind!r} is not a state fault kind")
-        self.machine = machine
-        self.trigger = trigger
-        self.spec = spec
-        self.fired = False
-        self.detail = ""
-        self._seen = 0
-        self._attached = True
-        machine.events.subscribe(InstructionRetired, self._on_retired)
-
-    def _on_retired(self, event: InstructionRetired) -> None:
-        trigger = self.trigger
-        if trigger.kind == "insn":
-            if event.index != trigger.value:
-                return
-        else:  # "pc"
-            if event.pc != trigger.value:
-                return
-            self._seen += 1
-            if self._seen < trigger.occurrence:
-                return
-        machine = self.machine
-        self.detail = apply_state_fault(self.spec, machine)
-        self.fired = True
-        self.detach()
-        bus = machine.events
-        if bus.subscribers(FaultInjected):
-            bus.emit(FaultInjected(event.pc, self.spec.kind, self.detail))
-
-    def detach(self) -> None:
-        """Unsubscribe from the event bus (idempotent)."""
-        if self._attached:
-            self.machine.events.unsubscribe(
-                InstructionRetired, self._on_retired
-            )
-            self._attached = False

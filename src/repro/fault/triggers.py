@@ -9,13 +9,14 @@ A trigger names one point in a run's dynamic instruction stream::
     syscall:*:2        when the second input syscall of any number traps
     syscall:4:2        when the second SYS_WRITE traps
 
-``insn`` and ``pc`` triggers are resolved by the
-:class:`~repro.fault.faults.FaultInjector` over ``InstructionRetired``
-events, so they mean exactly the same thing under the functional and the
-pipeline engine (both emit an identical retirement stream).  ``syscall``
+The campaign runner resolves every trigger to an exact retirement index
+of the golden run (the N-th visit of a PC, the N-th matching syscall),
+so a trigger means exactly the same thing under the functional and the
+pipeline engine (both retire the same instruction stream).  State faults
+land right after the instruction at that index retires; ``syscall``
 triggers are armed inside the kernel as a
 :class:`~repro.kernel.syscalls.SyscallFault`, because syscall-layer faults
-corrupt OS-side state the CPU-side injector cannot reach.
+corrupt OS-side state that machine-state flips cannot reach.
 """
 
 from __future__ import annotations

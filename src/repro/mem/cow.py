@@ -1,7 +1,7 @@
 """Copy-on-write capture state shared by memory, taint plane, and labels.
 
-A :class:`CowCapture` is the mutable heart of a delta checkpoint
-(:meth:`~repro.cpu.machine.MachineState.snapshot_cow`).  Instead of
+A :class:`CowCapture` is the mutable heart of the machine's one
+checkpoint (:meth:`~repro.cpu.machine.MachineState.snapshot`).  Instead of
 copying every materialized page at capture time, the capture starts
 *empty* and the memory hot paths fill it lazily:
 
@@ -24,15 +24,9 @@ Ownership rules (also documented in DESIGN.md section 4c):
 * exactly one capture is *active* per :class:`TaintedMemory` at a time
   (``memory._cow``); the memory/plane mutation paths feed only the
   active capture;
-* displacing a capture -- a second ``snapshot_cow()``, or any legacy
-  full-copy ``restore()`` -- first *completes* it: every page it has not
-  yet COW'd still holds its capture-time content (nothing dirtied it),
-  so completion snapshots the remainder and the capture degrades to an
-  ordinary full snapshot that restores through the legacy path forever;
-* a completed capture's label-table state is rebuilt by truncating the
-  live append-only table at the captured high-water marks.  Memoization
-  caches rebuilt this way may contain entries that were only *observed*
-  after capture; they cache a pure function, so semantics are identical.
+* taking a new capture makes the previous one *stale*: nothing tracks
+  its pages any more, so :meth:`~repro.cpu.machine.MachineState.restore`
+  refuses it with ``ValueError`` instead of restoring a torn state.
 """
 
 from __future__ import annotations
@@ -40,9 +34,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 __all__ = ["CowCapture"]
-
-_PAGE_SHIFT = 12  # PAGE_SIZE == 4096 (repro.mem.layout)
-_PAGE_MASK = (1 << _PAGE_SHIFT) - 1
 
 
 class CowCapture:
@@ -71,8 +62,6 @@ class CowCapture:
         "hilo_label",
         "labels_hwm",
         "sets_hwm",
-        "full_memory",
-        "full_taint",
     )
 
     def __init__(self) -> None:
@@ -102,14 +91,6 @@ class CowCapture:
         #: capture allocations, truncated away on restore.
         self.labels_hwm: int = 0
         self.sets_hwm: int = 0
-        #: filled by :meth:`complete` when the capture is displaced:
-        #: legacy-shape full snapshots for the memory and taint domains.
-        self.full_memory: Optional[Tuple[Dict[int, bytes], int]] = None
-        self.full_taint: Optional[Tuple] = None
-
-    @property
-    def completed(self) -> bool:
-        return self.full_memory is not None
 
     def clear_dirty(self) -> None:
         """Reset the delta-tracking sets after an in-place delta restore
@@ -118,52 +99,3 @@ class CowCapture:
         self.shadow_dirty.clear()
         self.fresh.clear()
         self.label_dirty.clear()
-
-    # ------------------------------------------------------------------
-    # completion: degrade to a full snapshot when displaced
-    # ------------------------------------------------------------------
-
-    def complete(self, memory, plane) -> None:
-        """Snapshot everything not yet COW'd (idempotent).
-
-        Valid whenever this capture is still the active one: a page
-        absent from the baseline was never dirtied, so its *current*
-        content equals its capture-time content.  After completion the
-        capture restores through the legacy full-copy path.
-        """
-        if self.full_memory is not None:
-            return
-        fresh = self.fresh
-        data: Dict[int, bytes] = {}
-        for base, page in memory._pages.items():
-            if base in fresh:
-                continue
-            frozen = self.data_baseline.get(base)
-            data[base] = _freeze(page) if frozen is None else frozen
-        shadow: Dict[int, bytes] = {}
-        for base, page in plane.mem_taint.items():
-            if base in fresh:
-                continue
-            frozen = self.shadow_baseline.get(base)
-            shadow[base] = _freeze(page) if frozen is None else frozen
-        if plane.table is None:
-            label_state = None
-        else:
-            mem_labels: Dict[int, int] = {}
-            for entries in (self.labels_by_page or {}).values():
-                for addr, sid in entries:
-                    mem_labels[addr] = sid
-            label_state = (
-                mem_labels,
-                self.reg_labels,
-                self.hilo_label,
-                plane.table.truncated_snapshot(self.labels_hwm, self.sets_hwm),
-            )
-        self.full_memory = (data, self.tainted_bytes_written)
-        self.full_taint = (plane.mode, shadow, self.reg_taints, label_state)
-
-
-def _freeze(page: bytearray) -> bytes:
-    # bytes(page) of an all-zero page is still a fresh 4 KiB object; a
-    # completed capture is cold-path, so no interning is attempted.
-    return bytes(page)

@@ -69,7 +69,7 @@ class RegisterFile:
         """Immutable copy of the architectural register state.
 
         The 32 GPR taint masks are *not* captured here -- the owning
-        plane's ``snapshot()`` covers them (once, next to the memory taint
+        plane's checkpoint covers them (once, next to the memory taint
         pages and label sidecars).
         """
         return (
@@ -85,7 +85,7 @@ class RegisterFile:
 
         In place because the executor bindings capture the ``values`` and
         ``taints`` lists themselves; rollback must not replace them.  GPR
-        taint masks are restored by ``plane.restore()``.
+        taint masks are restored by ``plane.restore_cow()``.
         """
         values, hi, lo, hi_taint, lo_taint = snapshot
         self.values[:] = values

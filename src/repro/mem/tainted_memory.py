@@ -11,17 +11,15 @@ when a corruption is allowed to proceed on an unprotected machine.
 
 The shadow taint pages are *owned* by a :class:`repro.taint.plane.TaintPlane`
 (``self._taint_pages is plane.mem_taint``); this object manages page
-allocation and the per-access fast paths, while the plane is the single
-snapshot/restore point for all shadow state.
+allocation and the per-access fast paths, while the plane owns the
+shadow state itself.
 
-Delta checkpointing: when a :class:`~repro.mem.cow.CowCapture` is active
+Checkpointing: when a :class:`~repro.mem.cow.CowCapture` is active
 (``self._cow``), every mutation path copy-on-writes the page's baseline
 into the capture on its first post-capture write and records it in the
 capture's dirty set, and every page-allocation path records fresh pages.
 With no active capture (``_cow is None``) the hot paths pay one ``None``
-check.  The public :meth:`snapshot`/:meth:`restore` tuple API is
-unchanged -- it is the *full-copy* serialization the delta machinery
-degrades to when a capture is displaced (see :mod:`repro.mem.cow`).
+check.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ class TaintedMemory:
         #: mode, the provenance sidecar keyed by physical address).
         self.plane = plane
         self._pages: Dict[int, bytearray] = {}
-        # Identity-shared with the plane: pages materialize here, snapshots
-        # happen there.
+        # Identity-shared with the plane: pages materialize here, the
+        # plane owns the shadow state.
         self._taint_pages: Dict[int, bytearray] = plane.mem_taint
         # Identity-shared clean-page summary (see TaintPlane.tainted_pages):
         # a page base absent from this set is guaranteed all-clean, so reads
@@ -62,9 +60,6 @@ class TaintedMemory:
         self.tainted_bytes_written = 0
         #: Active delta capture (None = no tracking; see module docstring).
         self._cow: Optional[CowCapture] = None
-        # Back-reference so a direct ``plane.restore(tuple)`` can displace
-        # the active capture before it rewrites shadow pages wholesale.
-        plane._host = self
 
     # ------------------------------------------------------------------
     # page management
@@ -91,29 +86,15 @@ class TaintedMemory:
         return tuple(sorted(self._pages))
 
     # ------------------------------------------------------------------
-    # delta capture lifecycle (driven by MachineState.snapshot_cow)
+    # delta capture lifecycle (driven by MachineState.snapshot/restore)
     # ------------------------------------------------------------------
 
     def begin_cow(self) -> CowCapture:
-        """Start a new delta capture (displacing -- and completing -- any
-        active one) and return it for the plane to finish filling."""
-        if self._cow is not None:
-            self.release_cow()
+        """Start a new delta capture, making any active one stale, and
+        return it for the plane to finish filling."""
         cow = CowCapture()
         cow.tainted_bytes_written = self.tainted_bytes_written
         self._cow = cow
-        return cow
-
-    def release_cow(self) -> Optional[CowCapture]:
-        """Displace the active capture: complete it into a full snapshot
-        (see :meth:`CowCapture.complete`) and detach it from the hot
-        paths.  Returns the completed capture (None if none was active)."""
-        cow = self._cow
-        if cow is None:
-            return None
-        cow.complete(self, self.plane)
-        self._cow = None
-        self.plane._cow = None
         return cow
 
     def restore_cow(self, cow: CowCapture) -> None:
@@ -133,51 +114,6 @@ class TaintedMemory:
             if page is not None:
                 page[:] = baseline[base]
         self.tainted_bytes_written = cow.tainted_bytes_written
-
-    # ------------------------------------------------------------------
-    # full-copy snapshot / restore (the compatibility serialization)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Tuple[Dict[int, bytes], int]:
-        """Copy-out of all materialized data pages and the tainted-write
-        counter.
-
-        The shadow taint pages are deliberately *not* captured here: the
-        owning :class:`~repro.taint.plane.TaintPlane` snapshots all shadow
-        state (memory taint pages, register taint masks, label sidecars)
-        exactly once via ``plane.snapshot()``.
-        """
-        return (
-            {base: bytes(page) for base, page in self._pages.items()},
-            self.tainted_bytes_written,
-        )
-
-    def restore(self, snapshot: Tuple[Dict[int, bytes], int]) -> None:
-        """Roll memory data back to a snapshot, in place.
-
-        Pages materialized after the snapshot are dropped, so a rolled-back
-        machine cannot observe a fault trial's wild writes even through
-        ``mapped_pages()``.  Taint *contents* are restored by the plane
-        (``plane.restore()``); this method only keeps the taint-page key
-        set aligned with the data pages so ``_page()``'s invariant (both
-        dicts share one key set) survives either restore order.
-
-        A full-copy restore rewrites pages wholesale, which invalidates
-        any active delta capture's dirty tracking -- the capture is
-        completed and displaced first (it keeps working, as a full
-        snapshot).
-        """
-        if self._cow is not None:
-            self.release_cow()
-        pages, tainted_bytes_written = snapshot
-        self._pages.clear()
-        for base, data in pages.items():
-            self._pages[base] = bytearray(data)
-            if base not in self._taint_pages:
-                self._taint_pages[base] = bytearray(PAGE_SIZE)
-        for base in [b for b in self._taint_pages if b not in self._pages]:
-            del self._taint_pages[base]
-        self.tainted_bytes_written = tainted_bytes_written
 
     # ------------------------------------------------------------------
     # scalar accesses (hot path: used by the execution engines)

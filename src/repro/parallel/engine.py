@@ -11,7 +11,7 @@ workload exactly once -- inheriting the parent's prepared machine when
 the pool forks, rebuilding it otherwise -- and then rollback-replays its
 chunk locally through :meth:`~repro.fault.campaign.FaultCampaign.run_trial`,
 reusing the existing :mod:`repro.fault.checkpoint` bundle.  The bundle
-is a copy-on-write *delta* checkpoint by default: the fork inherits the
+is a copy-on-write *delta* checkpoint: the fork inherits the
 parent's capture (baseline pages are immutable ``bytes``, shared
 OS-level until a worker dirties them), and every per-trial rollback in
 a worker rewrites only the pages its own trial touched.  Workers never

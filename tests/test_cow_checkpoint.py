@@ -1,27 +1,30 @@
 """Copy-on-write delta checkpoints: differential equivalence and invariants.
 
 Three layers of evidence that delta restore is observably identical to
-the legacy eager full-copy restore:
+rebuilding the captured state from scratch:
 
-* a randomized differential -- two identically seeded memory/plane pairs
-  run the same interleaved stream of writes, bulk I/O, taint flips, wild
-  writes, and rollbacks, one through ``snapshot()``/``restore()`` and one
-  through the COW capture, and must stay bit-identical after every
-  rollback (both plane modes);
+* a randomized differential -- a captured memory/plane pair runs an
+  interleaved stream of writes, bulk I/O, taint flips, wild writes, and
+  rollbacks, and after every rollback must be bit-identical to a freshly
+  seeded memory (both plane modes);
 * white-box invariants on the capture's dirty/fresh/baseline tracking
-  (first-write COW, fresh-page dropping, restore idempotence,
-  displacement completion);
-* the campaign digest pin -- one golden digest asserted across delta vs
-  legacy restore, both taint modes, superblocks on/off, and worker pools,
-  which is the end-to-end statement CI enforces.
+  (first-write COW, fresh-page dropping, restore idempotence, stale
+  checkpoints refused);
+* the campaign digest pin -- one golden digest asserted across rollback
+  vs fresh rebuild per trial, both engines, both taint modes,
+  superblocks on/off, and worker pools, which is the end-to-end
+  statement CI enforces.
 """
 
 import random
 
 import pytest
 
+from repro.core.events import InstructionRetired
+from repro.cpu.simulator import Simulator
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.fault.workloads import builtin_workload
+from repro.isa.assembler import assemble
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.tainted_memory import TaintedMemory
 from repro.taint.bits import TaintVector
@@ -118,45 +121,43 @@ def _random_op(memory: TaintedMemory, rng: random.Random) -> None:
             plane.flip_reg_taint(rng.randrange(1, 32), 0xF)
 
 
+def _rebuilt(mode: str) -> TaintedMemory:
+    """The reference: the capture-time state, seeded from scratch."""
+    memory = TaintedMemory(TaintPlane(mode))
+    _seed_memory(memory, random.Random(99))
+    return memory
+
+
+def _rollback(memory: TaintedMemory, cow) -> None:
+    memory.restore_cow(cow)
+    memory.plane.restore_cow(cow)
+    cow.clear_dirty()
+
+
 class TestRandomizedDifferential:
-    """Legacy full-copy restore vs COW delta restore, bit for bit."""
+    """COW delta restore vs a fresh rebuild, bit for bit."""
 
     @pytest.mark.parametrize("mode", (MODE_BIT, MODE_LABEL))
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_delta_restore_matches_legacy_restore(self, mode, seed):
-        legacy = TaintedMemory(TaintPlane(mode))
-        delta = TaintedMemory(TaintPlane(mode))
-        seed_rng = random.Random(99)
-        _seed_memory(legacy, random.Random(99))
-        _seed_memory(delta, seed_rng)
-        assert _observable_state(legacy) == _observable_state(delta)
-
-        mem_snap = legacy.snapshot()
-        plane_snap = legacy.plane.snapshot()
+        delta = _rebuilt(mode)
         cow = delta.begin_cow()
         delta.plane.begin_cow(cow)
-        # The capture's exact-summary shrink is applied to the delta side
-        # only; mirror it by restoring the legacy side once (its restore
-        # recomputes the summary exactly the same way).
-        legacy.plane.restore(plane_snap)
-        legacy.restore(mem_snap)
-        mem_snap = legacy.snapshot()
-        plane_snap = legacy.plane.snapshot()
-        assert _observable_state(legacy) == _observable_state(delta)
+        assert _observable_state(delta) == _observable_state(_rebuilt(mode))
 
         rng_a = random.Random(seed)
         rng_b = random.Random(seed)
         for cycle in range(5):
+            # Capture tracking must not perturb semantics: an untracked
+            # rebuild fed the same ops ends in the same state...
+            live = _rebuilt(mode)
             for _ in range(40):
-                _random_op(legacy, rng_a)
+                _random_op(live, rng_a)
                 _random_op(delta, rng_b)
-            assert _observable_state(legacy) == _observable_state(delta)
-            legacy.plane.restore(plane_snap)
-            legacy.restore(mem_snap)
-            delta.restore_cow(cow)
-            delta.plane.restore_cow(cow)
-            cow.clear_dirty()
-            assert _observable_state(legacy) == _observable_state(delta)
+            assert _observable_state(live) == _observable_state(delta)
+            # ...and rollback lands exactly on the rebuilt capture state.
+            _rollback(delta, cow)
+            assert _observable_state(delta) == _observable_state(_rebuilt(mode))
 
     def test_restore_after_wild_write_unmaps_fresh_pages(self):
         memory = TaintedMemory(TaintPlane(MODE_BIT))
@@ -166,9 +167,7 @@ class TestRandomizedDifferential:
         memory.plane.begin_cow(cow)
         memory.write_bytes(_WILD, b"A" * 1000, taint=True)
         assert memory.mapped_pages() > before
-        memory.restore_cow(cow)
-        memory.plane.restore_cow(cow)
-        cow.clear_dirty()
+        _rollback(memory, cow)
         assert memory.mapped_pages() == before
         assert set(memory._pages) == set(memory._taint_pages)
 
@@ -212,33 +211,23 @@ class TestDirtySetInvariants:
     def test_restore_is_idempotent(self):
         memory, cow = self._captured()
         memory.write_bytes(_BASE + 10, b"garbage", taint=True)
-
-        def rollback():
-            memory.restore_cow(cow)
-            memory.plane.restore_cow(cow)
-            cow.clear_dirty()
-
-        rollback()
+        _rollback(memory, cow)
         once = _observable_state(memory)
-        rollback()
+        _rollback(memory, cow)
         assert _observable_state(memory) == once
         assert not cow.data_dirty and not cow.shadow_dirty and not cow.fresh
 
-    def test_displacement_completes_into_legacy_snapshot(self):
-        memory, cow = self._captured()
-        memory.write(_BASE, 4, 0xFFFFFFFF, taint_mask=0xF)
-        expected_pages = {_BASE: bytes(range(256)) + bytes(PAGE_SIZE - 256)}
-        second = memory.begin_cow()  # displaces and completes the first
-        memory.plane.begin_cow(second)
-        assert cow.completed
-        data, tainted_bytes_written = cow.full_memory
-        assert data == expected_pages
-        assert tainted_bytes_written == 0
-        # The completed capture restores through the legacy tuple path.
-        memory.restore(cow.full_memory)
-        memory.plane.restore(cow.full_taint)
-        assert bytes(memory._pages[_BASE]) == expected_pages[_BASE]
-        assert not any(memory._taint_pages[_BASE])
+    def test_restoring_a_displaced_checkpoint_raises(self):
+        exe = assemble(".text\n_start:\nli $v0, 1\nli $a0, 0\nsyscall\n")
+        sim = Simulator(exe)
+        first = sim.snapshot()
+        second = sim.snapshot()  # displaces the first capture
+        with pytest.raises(ValueError, match="stale"):
+            sim.restore(first)
+        sim.restore(second)  # the most recent one keeps restoring
+        sim.restore(second)
+        with pytest.raises(ValueError, match="stale"):
+            Simulator(exe).restore(second)  # another machine's snapshot
 
 
 class TestCampaignDigestPin:
@@ -250,14 +239,23 @@ class TestCampaignDigestPin:
         return campaign.run().digest()
 
     def test_delta_restore_matches_legacy_full_copy(self):
+        """Rollback vs the simplest reference: a fresh rebuild per trial."""
         assert self._digest() == DIGEST_PIN
-        assert (
-            self._digest(delta_restore=False, fast_triggers=False)
-            == DIGEST_PIN
-        )
+        assert self._digest(reuse_snapshots=False) == DIGEST_PIN
 
     def test_fast_triggers_match_legacy_injector(self):
-        assert self._digest(fast_triggers=False) == DIGEST_PIN
+        """Fire-point triggers under per-instruction observers (unfused
+        prefix, no epoch fast-forward) and on the pipeline engine."""
+        config = CampaignConfig(seed=11, trials=25)
+        campaign = FaultCampaign(
+            builtin_workload("exp3"),
+            config,
+            instrument=lambda sim: sim.events.subscribe(
+                InstructionRetired, lambda event: None
+            ),
+        )
+        assert campaign.run().digest() == DIGEST_PIN
+        assert self._digest(engine="pipeline") == DIGEST_PIN
 
     def test_pin_holds_in_label_mode(self):
         assert self._digest(taint_labels=True) == DIGEST_PIN

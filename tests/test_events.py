@@ -111,16 +111,6 @@ class TestRetirementStream:
         pcs = [e.pc for e in log.of(InstructionRetired)]
         assert pcs[-len(sim.recent_pcs):] == list(sim.recent_pcs)
 
-    def test_trace_hook_shim_bridges_to_events(self):
-        sim = make_sim("add $s0, $t0, $t1")
-        seen = []
-        sim.trace_hook = lambda s, pc, instr: seen.append((s, pc, instr.name))
-        sim.run()
-        assert len(seen) == sim.stats.instructions
-        assert all(entry[0] is sim for entry in seen)
-        sim.trace_hook = None
-        assert not sim.events.has_subscribers(InstructionRetired)
-
 
 class TestAlertOrdering:
     def test_detection_event_fires_and_instruction_never_retires(self):

@@ -1,17 +1,22 @@
 """Fault-injection campaigns: triggers, injection, classification, recovery."""
 
+import hashlib
 import io
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.events import FaultInjected, TrialCompleted
+from repro.core.events import (
+    FaultInjected,
+    InstructionRetired,
+    SyscallEnter,
+    TrialCompleted,
+)
 from repro.core.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.fault import (
     CampaignConfig,
     FaultCampaign,
-    FaultInjector,
     FaultSpec,
     OUTCOME_CRASH,
     OUTCOME_DETECTED,
@@ -143,35 +148,6 @@ class TestStateFaults:
         apply_state_fault(FaultSpec("reg", 0, 0xFFFFFFFF), sim)
         apply_state_fault(FaultSpec("taint-reg", 0, 0xF), sim)
         assert sim.regs.read(0) == (0, 0)
-
-    def test_injector_fires_once_and_emits_event(self):
-        sim = self.make_sim()
-        events = []
-        sim.events.subscribe(FaultInjected, events.append)
-        injector = FaultInjector(
-            sim, Trigger("insn", 100), FaultSpec("taint-reg", 29, 0x1)
-        )
-        sim.arm_watchdog(max_instructions=5000)
-        try:
-            sim.run()
-        except Exception:
-            pass
-        assert injector.fired
-        assert len(events) == 1
-        assert events[0].kind == "taint-reg"
-        # One-shot: the subscription is gone after firing.
-        assert injector._attached is False
-
-    def test_injector_rejects_syscall_triggers(self):
-        sim = self.make_sim()
-        with pytest.raises(ValueError, match="kernel"):
-            FaultInjector(
-                sim, Trigger("syscall", 3), FaultSpec("mem", 0, 1)
-            )
-        with pytest.raises(ValueError, match="state fault"):
-            FaultInjector(
-                sim, Trigger("insn", 1), FaultSpec("syscall-errno")
-            )
 
 
 class TestCampaignDeterminism:
@@ -351,6 +327,79 @@ class TestEngineAgreement:
         assert [r.injected for r in functional.records] == [
             r.injected for r in pipeline.records
         ]
+
+
+class TestFaultInjectedEvents:
+    """Where and when the trigger path reports an injection."""
+
+    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
+    def test_syscall_fault_reports_the_syscall_pc(self, engine):
+        injected, read_pcs = [], set()
+
+        def instrument(sim):
+            sim.events.subscribe(FaultInjected, injected.append)
+            sim.events.subscribe(
+                SyscallEnter,
+                lambda e: read_pcs.add(e.pc) if e.number == 3 else None,
+            )
+
+        campaign = FaultCampaign(
+            MINI,
+            CampaignConfig(trials=0, engine=engine),
+            schedule=[(Trigger("syscall", 3), FaultSpec("syscall-errno"))],
+            instrument=instrument,
+        )
+        assert campaign.run().records[0].injected
+        assert len(read_pcs) == 1
+        assert [e.pc for e in injected] == list(read_pcs)
+
+    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
+    def test_state_fault_fires_once_right_after_its_instruction(self, engine):
+        log = []
+
+        def instrument(sim):
+            sim.events.subscribe(InstructionRetired, log.append)
+            sim.events.subscribe(FaultInjected, log.append)
+
+        campaign = FaultCampaign(
+            MINI,
+            CampaignConfig(trials=0, engine=engine),
+            schedule=[(Trigger("insn", 100), FaultSpec("taint-reg", 29, 1))],
+            instrument=instrument,
+        )
+        campaign.run()
+        fired = [i for i, e in enumerate(log) if isinstance(e, FaultInjected)]
+        assert len(fired) == 1
+        event, before = log[fired[0]], log[fired[0] - 1]
+        assert event.kind == "taint-reg"
+        assert before.index == 100
+        assert event.pc == before.pc
+
+
+#: sha256 of the exp3 / seed 11 / 25-trial campaign's JSONL trace.  Trial
+#: digests exclude events; these pin the trigger path's event stream,
+#: identical on both engines.
+TRACE_PINS = {
+    "all": "a270948815a779230bcbf8d1f82e950d3bdd52065c7b9d8e37823e9dba7f5f54",
+    "default": "0ab5676e1d89cb1e0e0995fd41c8a64ea05ddd29f41a2871e71c9df9b8796e07",
+}
+
+
+class TestCampaignTracePin:
+    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
+    @pytest.mark.parametrize("events", sorted(TRACE_PINS))
+    def test_trace_bytes_pinned(self, tmp_path, engine, events):
+        trace = tmp_path / "trace.jsonl"
+        argv = [
+            "campaign", "--builtin", "exp3", "--seed", "11",
+            "--trials", "25", "--engine", engine,
+            "--trace-out", str(trace),
+        ]
+        if events == "all":
+            argv += ["--trace-events", "all"]
+        assert cli_main(argv, out=io.StringIO()) == 0
+        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        assert digest == TRACE_PINS[events]
 
 
 class TestCampaignConfigValidation:

@@ -96,6 +96,10 @@ class _ProgramGen:
     must NOT fold), and comparisons (which untaint).
     """
 
+    #: One loop induction variable per nesting depth, so an inner loop
+    #: never resets an outer loop's counter.
+    COUNTERS = ("i", "j")
+
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
         self.vars = ["a", "b", "c", "d"]
@@ -137,8 +141,9 @@ class _ProgramGen:
         if roll < 0.75:
             body = self.statement(depth + 1)
             bound = self.rng.randint(1, 6)
+            k = self.COUNTERS[depth]
             return (
-                f"i = 0; while (i < {bound}) {{ {body} i = i + 1; }}"
+                f"{k} = 0; while ({k} < {bound}) {{ {body} {k} = {k} + 1; }}"
             )
         if roll < 0.9:
             idx = f"(i + {self.rng.randint(0, 7)}) & 7"
@@ -151,7 +156,7 @@ class _ProgramGen:
             "int main() {\n"
             "  int arr[8];\n"
             "  char inbuf[8];\n"
-            "  int i; int a; int b; int c; int d;\n"
+            "  int i; int j; int a; int b; int c; int d;\n"
             "  read(0, inbuf, 8);\n"
             f"  a = {self.const()}; b = {self.const()};\n"
             "  c = inbuf[0]; d = inbuf[1];\n"
@@ -174,24 +179,56 @@ def _fuzz_cases(count: int = 25, seed: int = 1105):
     return cases
 
 
+#: Instruction budget for every fuzz leg.  Generated programs retire
+#: under 3k instructions at -O0, so only a non-terminating program can
+#: exhaust it -- and then cheaply, even on the pipeline engine.
+_FUZZ_BUDGET = 50_000
+
+#: Deliberately non-terminating: the inner loop resets the outer loop's
+#: counter, so every leg must end in the same ``limit`` verdict.
+_RUNAWAY = r"""
+int main() {
+  char inbuf[8];
+  int i; int a;
+  read(0, inbuf, 8);
+  a = inbuf[0];
+  i = 0;
+  while (i < 6) { i = 0; while (i < 3) { a += i; i = i + 1; } i = i + 1; }
+  printf("%d\n", a);
+  return a & 127;
+}
+"""
+
+
+def _fuzz_verdicts(source: str, stdin: bytes):
+    """(-O0, -O1, -O1 pipeline) verdicts under the fuzz budget."""
+    return [
+        _verdict(
+            run_minic(
+                source,
+                PointerTaintPolicy(),
+                stdin=stdin,
+                opt_level=opt_level,
+                use_pipeline=pipeline,
+                max_instructions=_FUZZ_BUDGET,
+            )
+        )
+        for opt_level, pipeline in ((0, False), (1, False), (1, True))
+    ]
+
+
 class TestFuzzDifferential:
     @pytest.mark.parametrize("source,stdin", _fuzz_cases())
     def test_same_observables_both_levels_both_engines(self, source, stdin):
-        r0 = run_minic(
-            source, PointerTaintPolicy(), stdin=stdin, opt_level=0
-        )
-        r1 = run_minic(
-            source, PointerTaintPolicy(), stdin=stdin, opt_level=1
-        )
-        assert _verdict(r0) == _verdict(r1), source
-        r1p = run_minic(
-            source,
-            PointerTaintPolicy(),
-            stdin=stdin,
-            opt_level=1,
-            use_pipeline=True,
-        )
-        assert _verdict(r1p) == _verdict(r0), source
+        r0, r1, r1p = _fuzz_verdicts(source, stdin)
+        assert r0 == r1, source
+        assert r1p == r0, source
+        assert r0[0] == "exit", source
+
+    def test_runaway_program_hits_the_limit_on_every_leg(self):
+        verdicts = _fuzz_verdicts(_RUNAWAY, b"ABCDEFGH")
+        assert verdicts[0][0] == "limit"
+        assert verdicts == [verdicts[0]] * 3
 
     def test_corpus_is_deterministic(self):
         first = [str(p.values[0]) for p in _fuzz_cases(5)]

@@ -127,6 +127,7 @@ class TestTraceHook:
             ".text\n_start:\nli $t0, 3\nli $t1, 4\nadd $t2, $t0, $t1\n"
             "li $v0, 1\nli $a0, 0\nsyscall\n"
         )
+        from repro.core.events import InstructionRetired
         from repro.core.policy import NullPolicy
         from repro.cpu.simulator import Simulator
         from repro.kernel.syscalls import Kernel
@@ -136,7 +137,9 @@ class TestTraceHook:
         sim = Simulator(exe, NullPolicy(), syscall_handler=kernel)
         kernel.attach(sim)
         seen = []
-        sim.trace_hook = lambda s, pc, instr: seen.append(instr.name)
+        sim.events.subscribe(
+            InstructionRetired, lambda event: seen.append(event.instr.name)
+        )
         sim.run()
         assert seen == ["addiu", "addiu", "add", "addiu", "addiu", "syscall"]
 

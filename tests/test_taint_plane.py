@@ -4,7 +4,9 @@ import pytest
 
 from repro.attacks.replay import run_minic
 from repro.core.policy import PointerTaintPolicy
+from repro.cpu.simulator import Simulator
 from repro.fault.faults import FaultSpec, apply_state_fault
+from repro.libc.build import build_program
 from repro.mem.registers import RegisterFile
 from repro.mem.tainted_memory import TaintedMemory
 from repro.taint import (
@@ -109,10 +111,10 @@ class TestLabelTable:
     def test_snapshot_restore_roundtrip(self):
         table = LabelTable()
         a = table.singleton(table.new_label(source_kind="stdin"))
-        snap = table.snapshot()
+        labels_hwm, sets_hwm = len(table.labels), len(table.sets)
         b = table.singleton(table.new_label(source_kind="net"))
         table.union(a, b)
-        table.restore(snap)
+        table.truncate(labels_hwm, sets_hwm)
         assert table.allocated_labels == 1
         assert table.interned_sets == 2
         # Allocation after restore reuses the freed id space consistently.
@@ -156,23 +158,28 @@ class TestTaintPlane:
         assert plane.provenance(sid)[0].source_kind == "stdin"
 
     def test_snapshot_restore_mode_mismatch_rejected(self):
-        bit = TaintPlane(MODE_BIT)
-        label = TaintPlane(MODE_LABEL)
+        exe = build_program("int main(void) { return 0; }")
+        bit = Simulator(exe)
+        label = Simulator(exe, taint_labels=True)
         with pytest.raises(ValueError):
             label.restore(bit.snapshot())
 
     def test_label_state_roundtrips_through_snapshot(self):
         plane = TaintPlane(MODE_LABEL)
+        memory = TaintedMemory(plane=plane)
         sid = plane.table.singleton(
             plane.table.new_label(source_kind="net", syscall="recv", fd=4)
         )
+        memory.write_bytes(0x2000, b"ab", taint=True)
         plane.label_span(0x2000, 2, sid)
         plane.reg_labels[5] = sid
-        snap = plane.snapshot()
-        plane.mem_labels.clear()
+        cow = memory.begin_cow()
+        plane.begin_cow(cow)
+        other = plane.table.singleton(plane.table.new_label(source_kind="env"))
+        plane.label_span(0x2000, 2, other)
         plane.reg_labels[5] = 0
-        plane.table.new_label(source_kind="env")
-        plane.restore(snap)
+        memory.restore_cow(cow)
+        plane.restore_cow(cow)
         assert plane.mem_labels[0x2000] == sid
         assert plane.reg_labels[5] == sid
         assert plane.table.allocated_labels == 1
@@ -296,9 +303,12 @@ class TestMachineSnapshotWithLabels:
         address = sim.executable.address_of("_g_g")
         snap = sim.snapshot()
         before_sid = sim.plane.mem_labels[address]
-        # Perturb: clear taint and labels, then roll back.
+        # Perturb: clear taint and relabel, then roll back.
         sim.memory.set_taint(address, 8, False)
-        sim.plane.mem_labels.clear()
+        table = sim.plane.table
+        sim.plane.label_span(
+            address, 8, table.singleton(table.new_label(source_kind="env"))
+        )
         sim.restore(snap)
         assert sim.plane.mem_labels[address] == before_sid
         assert sim.memory.read_taint(address, 8).mask == 0xFF
