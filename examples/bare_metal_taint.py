@@ -12,8 +12,8 @@ machine directly with assembly to make each mechanism visible:
 Run:  python examples/bare_metal_taint.py
 """
 
-from repro.core.detector import SecurityException
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble

@@ -3,10 +3,11 @@ Taintedness Detection" (Chen, Xu, Nakka, Kalbarczyk, Iyer -- DSN 2005).
 
 The package provides:
 
-* :mod:`repro.core` -- the taintedness model: per-byte taint, the Table 1
-  propagation rules, dereference detection, and the detection policies
-  (the paper's pointer-taintedness policy plus the Minos/SPE-style
-  control-data-only baseline);
+* :mod:`repro.core`, :mod:`repro.taint`, :mod:`repro.defenses` -- the
+  taintedness model: the event bus and Table 1 propagation rules, per-byte
+  taint, dereference detection, and the detection policies (the paper's
+  pointer-taintedness policy plus the Minos/SPE-style control-data-only
+  baseline);
 * :mod:`repro.isa`, :mod:`repro.mem`, :mod:`repro.cpu` -- the
   SimpleScalar-like simulated machine: MIPS-like ISA with assembler and
   encoder, taint-extended memory/caches/registers, functional and 5-stage

@@ -88,7 +88,7 @@ ENGINES = ("functional", "pipeline")
 RESULT_KINDS = ("run", "campaign", "experiment")
 
 #: Watchdog limit reasons a structured ``stats.limit`` block may carry.
-LIMIT_REASONS = ("instructions", "wallclock", "cycles")
+LIMIT_REASONS = ("instructions", "wallclock")
 
 
 def resolve_policy(
@@ -176,7 +176,9 @@ class ExecOptions:
     warn once per process).
 
     Fields:
-        engine: ``"functional"`` or ``"pipeline"``.
+        engine: ``"functional"`` or ``"pipeline"`` (the same execution,
+            plus five-stage cycle accounting in the result).  Runs only:
+            campaigns never report cycles.
         policy: detection policy alias, instance, or factory.
         defense: pluggable defense name or built
             :class:`~repro.defenses.Detector`.
@@ -600,8 +602,8 @@ class Session:
     Args:
         policy: detection policy -- alias (``"paper"``,
             ``"control-data"``, ``"none"``), instance, or factory.
-        engine: ``"functional"`` (fast interpreter) or ``"pipeline"``
-            (cycle-level five-stage model).
+        engine: ``"functional"`` or ``"pipeline"`` (the same run plus
+            five-stage cycle accounting).
         use_caches: route data accesses through the taint-carrying L1/L2
             hierarchy.
         metrics: ``True`` for a fresh :class:`MetricsRegistry`, or pass
@@ -851,7 +853,7 @@ class Session:
         Exactly one of ``source`` (MiniC text), ``builtin`` (workload
         name), or ``workload`` must be given.  ``config_kwargs`` feed
         :class:`CampaignConfig` (``seed``, ``trials``, ``recovery``,
-        ``kinds``, ...).  Execution knobs (``engine``, ``use_caches``,
+        ``kinds``, ...).  Execution knobs (``use_caches``,
         ``taint_labels``, ``superblocks``, ``workers``) come from the
         session's :class:`ExecOptions` or a per-call ``options=``; the
         flat spellings keep working as deprecated aliases.
@@ -876,14 +878,13 @@ class Session:
             )
         legacy = {
             key: config_kwargs.pop(key)
-            for key in ("engine", "use_caches", "taint_labels", "workers")
+            for key in ("use_caches", "taint_labels", "workers")
             if key in config_kwargs
         }
         new = {}
         if "superblocks" in config_kwargs:
             new["superblocks"] = config_kwargs.pop("superblocks")
         opts = _normalize_options(options, legacy, base=self.options, new=new)
-        config_kwargs["engine"] = opts.engine
         config_kwargs["use_caches"] = opts.use_caches
         config_kwargs["taint_labels"] = opts.taint_labels
         config_kwargs["superblocks"] = opts.superblocks

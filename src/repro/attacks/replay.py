@@ -135,10 +135,8 @@ class RunResult:
             # Present only when a pluggable defense is attached, so
             # default-path result JSON stays byte-identical.
             stats["defenses"] = self.sim.defense_summaries()
-        if (
-            self.sim is not None
-            and self.pstats is None
-            and getattr(self.sim, "superblocks_enabled", False)
+        if self.sim is not None and getattr(
+            self.sim, "superblocks_enabled", False
         ):
             # Fused-tier observability: cache size, build/invalidation
             # counts, and the fraction of fused dispatches served from

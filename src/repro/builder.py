@@ -45,9 +45,9 @@ def build_machine(
 
     Returns ``(sim, kernel)`` with the kernel installed as the syscall
     handler and the process image initialized (stack with argv/env, brk,
-    registers).  The caller picks the engine afterwards: ``sim.run()``
-    for the functional engine or ``Pipeline(sim).run()`` for the
-    cycle-level model -- both drive the same machine state and event bus.
+    registers).  The caller runs it afterwards: ``sim.run()``, or
+    ``Pipeline(sim).run()`` to run the same engine and also account
+    five-stage pipeline cycles.
 
     ``taint_labels=True`` puts the machine's taint plane in label mode:
     every external-input copy-in gets a provenance label and detection

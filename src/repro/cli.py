@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="MiniC optimization level: 0 = legacy oracle "
                             "codegen, 1 = IR pipeline (default 0)")
         p.add_argument("--pipeline", action="store_true",
-                       help="use the 5-stage pipeline engine")
+                       help="also report 5-stage pipeline cycles")
         p.add_argument("--caches", action="store_true",
                        help="route data accesses through the L1/L2 hierarchy")
         p.add_argument("--taint-labels", action="store_true",
@@ -180,9 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument("--seed", type=int, default=7)
     campaign_parser.add_argument("--trials", type=int, default=100)
-    campaign_parser.add_argument(
-        "--engine", choices=("functional", "pipeline"), default="functional"
-    )
     campaign_parser.add_argument(
         "--recovery",
         choices=("halt", "kill-process", "rollback-retry"),
@@ -435,7 +432,6 @@ def _command_campaign(args: argparse.Namespace, out=sys.stdout) -> int:
     if (args.file is None) == (args.builtin is None):
         raise SystemExit("campaign needs exactly one of FILE or --builtin")
     session = Session(options=ExecOptions(
-        engine=args.engine,
         use_caches=args.caches,
         metrics=bool(args.metrics) or None,
         trace_out=args.trace_out,

@@ -1,6 +1,6 @@
 """Structured execution events: the machine's observation layer.
 
-The execution engines publish typed events instead of exposing ad-hoc
+The execution engine publishes typed events instead of exposing ad-hoc
 per-instruction callbacks or internal buffers.  Detectors, tracers,
 forensics recorders, and experiment harnesses subscribe to exactly the
 events they need, and an engine with **zero subscribers pays nothing**:
@@ -15,11 +15,11 @@ Event taxonomy (payload fields and when each fires):
 Event                  Fired when
 =====================  =====================================================
 InstructionRetired     an instruction's architectural effects have committed
-                       (functional engine: after the bound executor ran; the
-                       pipeline applies effects in program order at its EX
-                       occupancy, so ordering is identical).  An instruction
-                       that raises a fault or a security exception never
-                       retires and never produces this event.
+                       (after the bound executor ran; the pipeline timing
+                       model runs the same engine, so the stream is
+                       identical).  An instruction that raises a fault or a
+                       security exception never retires and never produces
+                       this event.
 TaintPropagated        an executed instruction wrote a *tainted* result --
                        to a register (``dest_kind="reg"``), to HI/LO
                        (``"hilo"``), or to memory via a store (``"mem"``).
@@ -35,8 +35,8 @@ SyscallExit            the kernel returned from the syscall (``result`` is
 MemoryFaulted          instruction execution aborted with a machine-level
                        fault (bad fetch, unaligned or unmapped access);
                        fired just before the fault exception propagates.
-                       Both engines emit it, including the pipeline's fetch
-                       stage and faults raised inside the kernel while
+                       Emitted for fetches outside the text segment and
+                       for faults raised inside the kernel while
                        servicing a syscall.
 FaultInjected          the fault-injection subsystem corrupted live state
                        (a memory/register/taint-bitmap bit flip, or a
@@ -103,7 +103,7 @@ class TaintedDereference:
 
     pc: int
     kind: str  # "load" | "store" | "jump" | "annotation"
-    alert: Any  # repro.core.detector.Alert
+    alert: Any  # repro.defenses.alerts.Alert
 
 
 @dataclass(frozen=True)

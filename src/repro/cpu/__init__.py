@@ -1,7 +1,8 @@
-"""Execution engines: functional simulator and 5-stage pipeline model.
+"""Execution: the functional simulator and the 5-stage pipeline timing model.
 
-Both engines drive one :class:`~repro.cpu.machine.MachineState` through
-the predecoded executor bindings in :mod:`repro.cpu.dispatch`.
+The simulator drives one :class:`~repro.cpu.machine.MachineState` through
+the predecoded executor bindings in :mod:`repro.cpu.dispatch`; the
+pipeline model runs the simulator and accounts cycles over what retired.
 """
 
 from .dispatch import BINDERS, bind_program, binds

@@ -19,9 +19,10 @@ the hardware structure in interpreter form:
   -- fetch is an index, dispatch is a bound call, and no per-step
   classification happens at all.
 
-Both the functional engine and the five-stage pipeline execute through the
-same bindings, so the ISA semantics, the Table 1 propagation rules and the
-section 4.3 dereference checks have exactly one implementation.
+The functional engine executes through these bindings (the five-stage
+pipeline model runs that engine), so the ISA semantics, the Table 1
+propagation rules and the section 4.3 dereference checks have exactly one
+implementation.
 
 Executor contract
 -----------------

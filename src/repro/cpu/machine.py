@@ -1,16 +1,16 @@
-"""Unified machine state shared by the functional and pipeline engines.
+"""Machine state driven by the execution engine.
 
 :class:`MachineState` owns everything architectural about one simulated
 process: registers, memory (optionally behind the taint-carrying cache
 hierarchy), the program counter, execution statistics, the section 5.3
 watchpoint annotations, the detector, and the structured
-:class:`~repro.core.events.EventBus` the engines publish to.  The
-functional engine (:class:`repro.cpu.simulator.Simulator`) and the
-five-stage pipeline (:class:`repro.cpu.pipeline.Pipeline`) both drive this
-state through the same table-bound executor functions
-(:mod:`repro.cpu.dispatch`), so there is exactly one implementation of the
-ISA's semantics, the Table 1 taint-propagation rules, and the section 4.3
-dereference checks.
+:class:`~repro.core.events.EventBus` the engine publishes to.  The
+functional engine (:class:`repro.cpu.simulator.Simulator`) drives this
+state through table-bound executor functions (:mod:`repro.cpu.dispatch`),
+so there is exactly one implementation of the ISA's semantics, the Table 1
+taint-propagation rules, and the section 4.3 dereference checks; the
+five-stage pipeline (:class:`repro.cpu.pipeline.Pipeline`) runs that same
+engine and only adds timing accounting.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ class ExecutionLimit(RuntimeError):
     """Raised when a run exceeds an execution limit (runaway guard).
 
     A structured outcome rather than a hang: ``reason`` says which limit
-    tripped (``"instructions"``, ``"wallclock"``, or the pipeline's
-    ``"cycles"``), and ``pc``/``instructions`` carry the partial progress
-    the watchdog observed, so fault-injection campaigns can classify a
-    wedged trial and still report statistics for it.
+    tripped (``"instructions"`` or ``"wallclock"``), and
+    ``pc``/``instructions`` carry the partial progress the watchdog
+    observed, so fault-injection campaigns can classify a wedged trial and
+    still report statistics for it.
     """
 
     def __init__(
@@ -61,13 +61,11 @@ class ExecutionLimit(RuntimeError):
         reason: str = "instructions",
         pc: int = 0,
         instructions: int = 0,
-        cycles: int = 0,
     ) -> None:
         super().__init__(message)
         self.reason = reason
         self.pc = pc
         self.instructions = instructions
-        self.cycles = cycles
 
 
 class SimulatorFault(Exception):
@@ -147,7 +145,7 @@ class MachineState:
         #: Programmer annotations: never-tainted data ranges (section 5.3
         #: extension).  Populate with ``sim.watchpoints.add(addr, len, name)``.
         self.watchpoints = WatchpointSet()
-        #: Structured event bus both engines publish to.
+        #: Structured event bus the engine publishes to.
         self.events = EventBus()
         self.halted = False
         self.exit_status: Optional[int] = None
@@ -156,8 +154,8 @@ class MachineState:
         #: a bounded deque append costs O(1) per instruction).
         self.recent_pcs: Deque[int] = deque(maxlen=RECENT_PC_DEPTH)
         #: Watchdog: absolute ceiling on ``stats.instructions`` (None = no
-        #: limit).  Both engines enforce it, so a budget armed here means
-        #: the same thing under the functional and the pipeline engine.
+        #: limit).  Enforced by the engine's run loop, which the pipeline
+        #: model shares, so a budget means the same thing under both.
         self.instruction_limit: Optional[int] = None
         #: Watchdog: ``time.monotonic()`` deadline (None = no deadline).
         self.deadline: Optional[float] = None
@@ -236,13 +234,13 @@ class MachineState:
     def _on_text_write(self) -> None:
         """Hook: a store/copy-in touched the text segment.
 
-        Both engines execute from the immutable predecode, so a text
-        write never changes executed semantics; engines with derived
-        execution state (the superblock tier) override this to drop it.
+        The engine executes from the immutable predecode, so a text
+        write never changes executed semantics; derived execution state
+        (the superblock tier) overrides this to drop itself.
         """
 
     # ------------------------------------------------------------------
-    # watchdog (shared limit guard for both execution engines)
+    # watchdog (limit guard enforced by the execution engine)
     # ------------------------------------------------------------------
 
     def arm_watchdog(
@@ -253,10 +251,10 @@ class MachineState:
         """Bound further execution by an instruction budget and/or a
         wall-clock deadline.
 
-        The limits are enforced by *both* engines (the functional loop
-        checks inline, the pipeline checks every cycle through
-        :meth:`enforce_watchdog`), converting a runaway or wedged run into
-        a structured :class:`ExecutionLimit` instead of a hang.
+        The engine's run loop enforces them (the pipeline model runs the
+        same loop), converting a runaway or wedged run into a structured
+        :class:`ExecutionLimit` instead of a hang.  The deadline is read
+        every 2048 instructions.
         """
         if max_instructions is not None:
             self.instruction_limit = self.stats.instructions + max_instructions
@@ -267,28 +265,6 @@ class MachineState:
         """Remove both watchdog limits."""
         self.instruction_limit = None
         self.deadline = None
-
-    def enforce_watchdog(self) -> None:
-        """Raise :class:`ExecutionLimit` when an armed limit has tripped."""
-        executed = self.stats.instructions
-        limit = self.instruction_limit
-        if limit is not None and executed >= limit:
-            raise ExecutionLimit(
-                f"watchdog: instruction budget exhausted at pc={self.pc:#x} "
-                f"after {executed} instructions",
-                reason="instructions",
-                pc=self.pc,
-                instructions=executed,
-            )
-        deadline = self.deadline
-        if deadline is not None and time.monotonic() >= deadline:
-            raise ExecutionLimit(
-                f"watchdog: wall-clock deadline exceeded at pc={self.pc:#x} "
-                f"after {executed} instructions",
-                reason="wallclock",
-                pc=self.pc,
-                instructions=executed,
-            )
 
     # ------------------------------------------------------------------
     # checkpoint / rollback

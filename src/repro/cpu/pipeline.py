@@ -1,56 +1,64 @@
-"""Five-stage in-order pipeline model with retirement-time exceptions.
+"""Five-stage in-order pipeline timing, accounted over the functional engine.
 
 The paper's Figure 3 places the jump-target taint check after the ID/EX
 stage, the load/store address check after EX/MEM, and raises the actual
-security exception only when the *marked-malicious* instruction retires.
-This module reproduces that structure on top of the shared execution core:
-the same :class:`~repro.cpu.machine.MachineState` and the same predecoded
-executor bindings (:mod:`repro.cpu.dispatch`) that the functional engine
-drives, so both engines have exactly one implementation of the ISA
-semantics, Table 1 propagation, and the section 4.3 checks:
+security exception only when the *marked-malicious* instruction retires;
+section 5.4 argues overhead with a simple CPI model.  The modelled pipe
+has no speculation, no structural or data hazards and executes in
+program order, so its timing is a pure function of the retired stream.
+:class:`Pipeline` therefore runs the ordinary functional engine (fused
+tier included) and derives :class:`PipelineStats` in closed form from
+``ExecutionStats.by_class`` and the way the run ended.  The model those
+formulas define:
 
-* instructions flow through IF -> ID -> EX -> MEM -> WB, one stage per cycle;
-* architectural effects (and the taint checks) are applied when an
-  instruction reaches its EX occupancy -- the machine is in-order and never
-  executes speculatively past an unresolved control transfer, so program
-  order is preserved;
-* a detected tainted dereference *marks* the instruction and drains the
-  pipeline; the :class:`~repro.defenses.alerts.SecurityException` is raised
-  only on the cycle the marked instruction retires, exactly like the paper's
-  retirement-stage exception;
-* control transfers stall fetch until they execute (no branch prediction),
-  which yields a simple, honest CPI model for the overhead study.
+* instructions flow through IF -> ID -> EX -> MEM -> WB (:data:`STAGES`),
+  one stage per cycle, and every cycle either fetches one instruction,
+  stalls fetch, or drains;
+* a control transfer or syscall (:data:`STALL_CLASSES`) stalls fetch for
+  one cycle while it sits in ID -- no branch prediction; it resolves at
+  EX, where fetch resumes from the right target -- so ``fetch_stalls``
+  is the number of such instructions executed;
+* **exit**: the exit syscall resolves at EX, then drains through MEM and
+  WB and retires, fetch shut off throughout: ``drain_cycles`` =
+  ``len(STAGES) - EX + 1`` (4) and ``cycles = retired + fetch_stalls +
+  drain_cycles``;
+* **alert** (Fig. 3): the check marks the instruction at EX (ID/EX for a
+  jump target, EX/MEM for a load/store address) and no younger
+  instruction executes.  It drains through EX, MEM and WB
+  (``drain_cycles`` = ``len(STAGES) - EX``, 3), and the
+  :class:`~repro.defenses.alerts.SecurityException` fires on the extra
+  cycle in which it retires.  A marked instruction that does not stall
+  fetch (a load or store) has let one younger instruction into IF, which is
+  squashed and costs one more cycle:
+  ``cycles = retired + fetch_stalls + drain_cycles + 1 (+ 1)``;
+* **fault or limit**: the run is abandoned where the functional engine
+  stopped, with no fill or drain charged: every executed instruction
+  counts as retired, ``drain_cycles = 0`` and
+  ``cycles = retired + fetch_stalls``.
+
+``tests/data/pipeline_golden.json`` pins these formulas against recorded
+cycle-by-cycle runs of the same model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
-from ..defenses.alerts import Alert, SecurityException
-from ..isa.instructions import Instr
-from .machine import ExecutionLimit
+from ..defenses.alerts import SecurityException
 from .simulator import Simulator
 
 #: Pipeline stage names in flow order.
 STAGES = ("IF", "ID", "EX", "MEM", "WB")
 
-#: Instruction classes that stall fetch until resolved.
-_CONTROL_CLASSES = frozenset({"branch", "jump", "jumpreg"})
+#: Instruction classes that stall fetch until they resolve at EX.
+STALL_CLASSES = frozenset({"branch", "jump", "jumpreg", "system"})
 
-
-@dataclass
-class _Entry:
-    """One in-flight instruction."""
-
-    pc: int
-    instr: Instr
-    stage: int = 0  # index into STAGES
-    executed: bool = False
-    alert: Optional[Alert] = None
-    #: Stage at which the taint check flagged this instruction
-    #: ("ID/EX" for jump-register targets, "EX/MEM" for loads/stores).
-    detect_stage: str = ""
+_EX = STAGES.index("EX")
+#: Fetch-halted cycles after an exit resolves: EX, MEM, WB, retirement.
+_EXIT_DRAIN = len(STAGES) - _EX + 1
+#: Fetch-halted cycles after an alert marks: EX, MEM, WB (the retirement
+#: cycle raises the exception instead of draining).
+_ALERT_DRAIN = len(STAGES) - _EX
 
 
 @dataclass
@@ -67,135 +75,50 @@ class PipelineStats:
         return self.cycles / self.retired if self.retired else 0.0
 
 
-class Pipeline:
-    """Drives a :class:`Simulator` through a cycle-accurate 5-stage model.
+def _stalls(sim: Simulator) -> int:
+    by_class = sim.stats.by_class
+    return sum(by_class.get(klass, 0) for klass in STALL_CLASSES)
 
-    The pipeline holds no architectural state of its own: registers,
-    memory, taint, statistics, and the event bus all live in the shared
-    machine state, and instruction effects are applied through the same
-    bound executors the functional engine uses (via ``simulator.step()``
-    at EX occupancy).  Event ordering is therefore identical to the
-    functional engine's; the pipeline only adds cycle accounting and the
-    retirement-delayed security exception.
+
+class Pipeline:
+    """Runs a :class:`Simulator` and accounts its 5-stage timing.
+
+    The pipeline holds no architectural state of its own: execution,
+    events, statistics and exceptions are exactly the functional
+    engine's.  :attr:`pstats` covers the instructions executed by
+    :meth:`run`.
     """
 
     def __init__(self, simulator: Simulator) -> None:
         self.sim = simulator
         self.pstats = PipelineStats()
-        self._inflight: List[_Entry] = []
-        self._draining = False
-        #: Fetch cursor; runs ahead of the simulator's execution cursor and
-        #: resynchronizes after every control transfer or syscall.
-        self._fetch_pc = simulator.pc
 
-    # ------------------------------------------------------------------
-
-    @property
-    def halted(self) -> bool:
-        return self.sim.halted and not self._inflight
-
-    def run(self, max_cycles: int = 200_000_000) -> int:
+    def run(self) -> int:
         """Run to process exit; returns exit status.
 
-        Raises :class:`SecurityException` on the retirement cycle of a
-        marked-malicious instruction, and
-        :class:`~repro.cpu.machine.ExecutionLimit` when the cycle budget or
-        a machine-level watchdog limit (instruction budget / wall-clock
-        deadline armed via ``sim.arm_watchdog``) trips -- the same guard
-        the functional engine enforces, so a budget means one thing
-        regardless of engine.
+        Raises whatever the functional engine raises (a
+        :class:`SecurityException` on an alert,
+        :class:`~repro.cpu.machine.ExecutionLimit` when a watchdog limit
+        armed via ``sim.arm_watchdog`` trips, machine faults), after
+        filling :attr:`pstats` for the run's outcome.
         """
         sim = self.sim
-        while not self.halted:
-            if self.pstats.cycles >= max_cycles:
-                raise ExecutionLimit(
-                    f"exceeded {max_cycles} cycles at pc={sim.pc:#x}",
-                    reason="cycles",
-                    pc=sim.pc,
-                    instructions=sim.stats.instructions,
-                    cycles=self.pstats.cycles,
-                )
-            sim.enforce_watchdog()
-            self.cycle()
-        return self.sim.exit_status or 0
-
-    def cycle(self) -> None:
-        """Advance the machine by one clock cycle."""
-        self.pstats.cycles += 1
-
-        # Retire from WB.  A marked instruction raises here -- this is the
-        # paper's retirement-stage security exception.
-        if self._inflight and self._inflight[0].stage == len(STAGES) - 1:
-            entry = self._inflight.pop(0)
-            self.pstats.retired += 1
-            if entry.alert is not None:
-                # The exception flushes the pipe: younger (squashed)
-                # instructions are discarded.
-                self._inflight.clear()
-                self._draining = False
-                raise SecurityException(entry.alert)
-
-        # Advance remaining entries one stage (in-order, no structural
-        # hazards modelled: each stage holds at most one instruction).
-        limit = len(STAGES) - 1
-        previous_stage = len(STAGES)
-        for entry in self._inflight:
-            if entry.stage + 1 < previous_stage:
-                entry.stage += 1
-            previous_stage = entry.stage
-            if entry.stage >= 2 and not entry.executed and not self._draining:
-                # While draining behind a marked-malicious instruction,
-                # younger in-flight instructions are squashed: they advance
-                # stages but never execute or retire.
-                self._execute(entry)
-
-        # Fetch a new instruction unless stalled.
-        if self._draining or self.sim.halted:
-            self.pstats.drain_cycles += 1
-            return
-        if self._fetch_blocked():
-            self.pstats.fetch_stalls += 1
-            return
-        pc = self._fetch_pc
-        instr = self.sim.fetch(pc)
-        self._inflight.append(_Entry(pc=pc, instr=instr))
-        if instr.klass not in _CONTROL_CLASSES and instr.klass != "system":
-            self._fetch_pc = (pc + 4) & 0xFFFFFFFF
-        # Control transfers and syscalls leave the cursor stale; it is
-        # resynchronized when they execute (see _execute).
-
-    # ------------------------------------------------------------------
-
-    def _fetch_blocked(self) -> bool:
-        """Fetch stalls while an unresolved control transfer is in flight."""
-        if len(self._inflight) >= len(STAGES):
-            return True
-        for entry in self._inflight:
-            if not entry.executed and entry.instr.klass in _CONTROL_CLASSES:
-                return True
-            if not entry.executed and entry.instr.klass == "system":
-                return True  # syscalls serialize the pipe
-        return False
-
-    def _execute(self, entry: _Entry) -> None:
-        """Apply architectural effects when the entry reaches EX.
-
-        The underlying functional simulator executes strictly in program
-        order, so the entry's PC always matches the simulator's.
-        """
-        assert entry.pc == self.sim.pc, (
-            f"pipeline out of order: entry {entry.pc:#x} vs sim {self.sim.pc:#x}"
-        )
+        start_retired = sim.stats.instructions
+        start_stalls = _stalls(sim)
+        drain = tail = 0  # fault or limit: abandoned, nothing drained
         try:
-            self.sim.step()
-        except SecurityException as exc:
-            entry.alert = exc.alert
-            entry.detect_stage = (
-                "ID/EX" if exc.alert.kind == "jump" else "EX/MEM"
-            )
-            # Mark malicious and drain: no younger instruction is fetched,
-            # the exception fires when this entry retires.
-            self._draining = True
-        entry.executed = True
-        if entry.instr.klass in _CONTROL_CLASSES or entry.instr.klass == "system":
-            self._fetch_pc = self.sim.pc
+            status = sim.run()
+            drain = tail = _EXIT_DRAIN
+            return status
+        except SecurityException:
+            exe = sim.executable
+            klass = exe.instructions[(sim.pc - exe.text_base) >> 2].klass
+            drain = _ALERT_DRAIN
+            tail = _ALERT_DRAIN + 1 + (klass not in STALL_CLASSES)
+            raise
+        finally:
+            pstats = self.pstats
+            pstats.retired = sim.stats.instructions - start_retired
+            pstats.fetch_stalls = _stalls(sim) - start_stalls
+            pstats.drain_cycles = drain
+            pstats.cycles = pstats.retired + pstats.fetch_stalls + tail

@@ -4,12 +4,13 @@ The text segment is predecoded at construction time by
 :func:`repro.cpu.dispatch.bind_program`, which turns every static
 instruction into an executor closure with operand fields, load/store
 metadata, branch targets, and the applicable Table 1 taint rule resolved
-once.  ``step()``/``run()`` are therefore pure drivers: index the binding
-for the current pc, call it, account the retirement.  All ISA semantics,
-Table 1 propagation, and the section 4.3 dereference checks live in
+once.  ``run()`` is therefore a pure driver: index the binding for the
+current pc, call it, account the retirement.  All ISA semantics, Table 1
+propagation, and the section 4.3 dereference checks live in
 :mod:`repro.cpu.dispatch`; all architectural state lives in
-:class:`repro.cpu.machine.MachineState`, which the cycle-level five-stage
-model (:mod:`repro.cpu.pipeline`) shares.
+:class:`repro.cpu.machine.MachineState`.  This is the only execution
+engine: the five-stage pipeline model (:mod:`repro.cpu.pipeline`) runs it
+and derives its cycle counts from the retired stream.
 
 Observation happens through the machine's typed event bus
 (:mod:`repro.core.events`): subscribe to ``InstructionRetired`` for
@@ -27,7 +28,6 @@ from typing import Callable, Optional
 
 from ..core.events import InstructionRetired, MemoryFaulted
 from ..defenses.policy import DetectionPolicy
-from ..isa.instructions import Instr
 from ..isa.program import Executable
 from ..mem.tainted_memory import MemoryFault
 from .dispatch import bind_program
@@ -93,18 +93,6 @@ class Simulator(MachineState):
     # ------------------------------------------------------------------
     # execution loop
     # ------------------------------------------------------------------
-
-    def fetch(self, pc: int) -> Instr:
-        index = (pc - self._text_base) >> 2
-        if pc & 3 or not 0 <= index < len(self._instructions):
-            fault = SimulatorFault(
-                f"instruction fetch from {pc:#010x} (outside text segment)"
-            )
-            fault_subs = self.events.subscribers(MemoryFaulted)
-            if fault_subs:
-                self.events.emit(MemoryFaulted(pc, str(fault)))
-            raise fault
-        return self._instructions[index]
 
     def run(self, max_instructions: int = 50_000_000) -> int:
         """Run until exit or alert; returns the process exit status.
@@ -369,33 +357,3 @@ class Simulator(MachineState):
             # instruction on faults, past the exit syscall on halt.
             self.pc = pc
         return self.exit_status if self.exit_status is not None else 0
-
-    def step(self) -> None:
-        """Execute a single instruction (the pipeline's EX-stage driver)."""
-        pc = self.pc
-        index = (pc - self._text_base) >> 2
-        bus = self.events
-        fault_subs = bus.subscribers(MemoryFaulted)
-        if pc & 3 or not 0 <= index < len(self._ops):
-            fault = SimulatorFault(
-                f"instruction fetch from {pc:#010x} (outside text segment)"
-            )
-            if fault_subs:
-                bus.emit(MemoryFaulted(pc, str(fault)))
-            raise fault
-        stats = self.stats
-        instr = self._instructions[index]
-        self.recent_pcs.append(pc)
-        stats.instructions += 1
-        stats.by_mnemonic[instr.name] += 1
-        stats.by_class[instr.klass] += 1
-        try:
-            next_pc = self._ops[index]()
-        except (SimulatorFault, MemoryFault) as exc:
-            if fault_subs:
-                bus.emit(MemoryFaulted(pc, str(exc)))
-            raise
-        retired_subs = bus.subscribers(InstructionRetired)
-        if retired_subs:
-            bus.emit(InstructionRetired(pc, instr, stats.instructions))
-        self.pc = next_pc

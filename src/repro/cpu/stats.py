@@ -1,6 +1,6 @@
 """Execution statistics for the simulated processor.
 
-Collected by both execution engines and consumed by the section 5.4
+Collected by the execution engine and consumed by the section 5.4
 overhead benchmarks (instruction mix, taint activity, detection events) and
 the Table 3 false-positive study (instructions executed, input bytes, alert
 count).

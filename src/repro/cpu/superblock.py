@@ -30,7 +30,7 @@ Every closure is generated with its executors bound as default
 arguments (LOAD_FAST at call time) and compiled once per block entry.
 
 **Self-modifying code**: fused closures are derived from the immutable
-predecoded program, the same source both engines execute from, so a
+predecoded program, the same source the unfused tier executes from, so a
 store into the text segment cannot change what either tier runs.  The
 machine still reports text writes (:meth:`MachineState._on_text_write`)
 and the cache drops every fused block, forcing re-fusion from the

@@ -13,9 +13,6 @@ layer with a uniform interface (ROADMAP item 4):
 * :mod:`repro.defenses.pac` -- PAC-style pointer-signing comparator;
 * :mod:`repro.defenses.registry` -- name -> detector resolution shared by
   the CLI, the Session facade, and the evalx defense matrix.
-
-``repro.core.detector`` and ``repro.core.policy`` remain as import-compat
-shims re-exporting from here.
 """
 
 from .alerts import (

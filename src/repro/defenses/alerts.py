@@ -1,10 +1,10 @@
 """Alert records and the retirement-time security exception.
 
-Split out of the old ``repro.core.detector`` module so that every defense
-implementation (the paper's taintedness detector and the comparator
-defenses alike) can import the alert vocabulary without touching policy or
-detector code.  :class:`Alert` is shared by all detectors; ``kind`` says
-which dereference (or which comparator check) fired.
+Kept apart from the detectors so that every defense implementation (the
+paper's taintedness detector and the comparator defenses alike) can import
+the alert vocabulary without touching policy or detector code.
+:class:`Alert` is shared by all detectors; ``kind`` says which dereference
+(or which comparator check) fired.
 """
 
 from __future__ import annotations

@@ -11,11 +11,8 @@ When any byte of the checked word is tainted the instruction is marked
 malicious; retiring a malicious instruction raises a security exception,
 which the simulated OS turns into process termination.
 
-This module used to be ``repro.core.detector`` and ended with an
-intentional tail import of the policy module to dodge a documentation
-cycle.  In the defenses package the split is clean: alerts live in
-:mod:`repro.defenses.alerts`, policies in :mod:`repro.defenses.policy`,
-and both import at the top of this file.
+Alerts live in :mod:`repro.defenses.alerts` and policies in
+:mod:`repro.defenses.policy`; both import at the top of this file.
 """
 
 from __future__ import annotations

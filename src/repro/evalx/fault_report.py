@@ -24,7 +24,6 @@ def render_campaign_report(result: CampaignResult) -> str:
             ("workload", result.workload),
             ("seed", config.seed),
             ("trials", len(result.records)),
-            ("engine", config.engine),
             ("recovery", config.recovery),
             ("caches", "on" if config.use_caches else "off"),
             (

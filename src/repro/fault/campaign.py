@@ -6,7 +6,7 @@ the standard SWIFI loop, built on this repo's checkpoint/rollback and
 watchdog primitives:
 
 1. **Golden run.**  Build the workload once, checkpoint the pre-run state
-   (machine + kernel), run fault-free on the functional engine, and record
+   (machine + kernel), run fault-free, and record
    the observable baseline: exit status, stdout, instruction count, the
    set of touched data pages, and the per-PC / per-syscall retirement
    indices that resolve every trigger to an exact fire point.
@@ -19,7 +19,7 @@ watchdog primitives:
    fast-forward through the golden epoch ladder, arm the watchdog
    (instruction budget = ``slack`` x golden length, plus a generous
    wall-clock safety net), run the fault-free prefix to the fire point,
-   inject, run the rest on the configured engine, classify:
+   inject, run the rest, classify:
 
    =========  ==========================================================
    detected   the taintedness detector raised a security exception
@@ -73,7 +73,6 @@ from ..core.events import (
 )
 from ..defenses.policy import PointerTaintPolicy
 from ..cpu.machine import ExecutionLimit, SimulatorFault
-from ..cpu.pipeline import Pipeline
 from ..cpu.simulator import Simulator
 from ..kernel.syscalls import Kernel, SyscallFault
 from ..libc.build import build_program
@@ -224,7 +223,6 @@ class CampaignConfig:
 
     seed: int = 7
     trials: int = 100
-    engine: str = "functional"  # | "pipeline"
     recovery: str = "halt"
     use_caches: bool = False
     #: Run the machine's taint plane in label mode.  Orthogonal to the
@@ -248,8 +246,6 @@ class CampaignConfig:
     kinds: Tuple[str, ...] = FAULT_KINDS
 
     def __post_init__(self) -> None:
-        if self.engine not in ("functional", "pipeline"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.recovery not in RECOVERY_POLICIES:
             raise ValueError(f"unknown recovery policy {self.recovery!r}")
         unknown = set(self.kinds) - set(FAULT_KINDS)
@@ -358,7 +354,6 @@ class CampaignResult:
             "workload": self.workload,
             "seed": self.config.seed,
             "trials": len(self.records),
-            "engine": self.config.engine,
             "recovery": self.config.recovery,
             "use_caches": self.config.use_caches,
             "taint_labels": self.config.taint_labels,
@@ -414,7 +409,7 @@ class FaultCampaign:
         workload: the victim program and its golden input.
         config: campaign knobs.
         schedule: explicit ``(Trigger, FaultSpec)`` pairs overriding the
-            seeded plan (used by the engine-agreement tests); ``trials``
+            seeded plan (used by the trigger and event tests); ``trials``
             is then ``len(schedule)``.
         instrument: observability hook (used by
             :class:`repro.api.Session`): called with every freshly built
@@ -469,11 +464,6 @@ class FaultCampaign:
         if self.instrument is not None:
             self.instrument(sim)
         return sim, kernel
-
-    def _run_engine(self, sim: Simulator) -> int:
-        if self.config.engine == "pipeline":
-            return Pipeline(sim).run()
-        return sim.run()
 
     # ------------------------------------------------------------------
     # phase 1: golden run
@@ -846,12 +836,9 @@ class FaultCampaign:
         """One faulted execution; returns (outcome, detail, injected).
 
         The fault-free prefix runs as one ``sim.run(max_instructions=...)``
-        burst on the functional engine -- fused, unless an
-        ``InstructionRetired`` subscriber asks for per-instruction events
-        -- and pauses exactly at the fire point; the fault lands, and the
-        rest runs on the configured engine.  Sound for the pipeline
-        engine too: it executes in program order through the same
-        ``sim.step()``, and trial records never include cycles.
+        burst -- fused, unless an ``InstructionRetired`` subscriber asks
+        for per-instruction events -- and pauses exactly at the fire
+        point; the fault lands, and the rest runs to completion.
 
         When ``checkpoint`` is given the trial performs its own rollback,
         which lets it fast-forward through the epoch ladder instead of
@@ -932,7 +919,7 @@ class FaultCampaign:
                         FaultInjected(sim.recent_pcs[-1], spec.kind, applied)
                     )
             if paused:
-                exit_status = self._run_engine(sim)
+                exit_status = sim.run()
         except SecurityException as exc:
             return OUTCOME_DETECTED, f"alert: {exc.alert}", injected_flag()
         except (SimulatorFault, MemoryFault) as exc:
@@ -992,7 +979,7 @@ class FaultCampaign:
             max_seconds=self.config.max_seconds,
         )
         try:
-            exit_status = self._run_engine(sim)
+            exit_status = sim.run()
         except Exception as exc:
             sim.disarm_watchdog()
             return (

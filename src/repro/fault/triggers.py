@@ -11,8 +11,8 @@ A trigger names one point in a run's dynamic instruction stream::
 
 The campaign runner resolves every trigger to an exact retirement index
 of the golden run (the N-th visit of a PC, the N-th matching syscall),
-so a trigger means exactly the same thing under the functional and the
-pipeline engine (both retire the same instruction stream).  State faults
+so a trigger means exactly the same thing on the fused and the unfused
+tier (both retire the same instruction stream).  State faults
 land right after the instruction at that index retires; ``syscall``
 triggers are armed inside the kernel as a
 :class:`~repro.kernel.syscalls.SyscallFault`, because syscall-layer faults

@@ -150,7 +150,7 @@ class Observer:
         """Fold a finished machine's statistics into the registry.
 
         ``pipeline`` is the :class:`repro.cpu.pipeline.Pipeline` driver
-        (or its ``PipelineStats``) when the cycle-level engine ran.
+        (or its ``PipelineStats``) when the run accounted pipeline cycles.
         Safe to call once per run; counters accumulate across runs in the
         same registry.
         """

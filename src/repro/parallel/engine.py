@@ -284,7 +284,6 @@ def _campaign_key(workload: Workload, config) -> tuple:
         workload.source,
         workload.stdin,
         workload.argv,
-        config.engine,
         config.recovery,
         config.use_caches,
         config.taint_labels,

@@ -206,9 +206,6 @@ def validate_request(obj: Any) -> dict:
         _check_str(obj, "stdin")
         _check_int(obj, "seed", minimum=0)
         _check_int(obj, "trials", minimum=1)
-        engine = obj.get("engine", "functional")
-        _require(engine in ("functional", "pipeline"),
-                 f"engine={engine!r} not in ('functional', 'pipeline')")
         _check_number(obj, "deadline_s")
         _check_options(obj)
     elif kind in ("experiment", "matrix"):

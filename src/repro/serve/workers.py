@@ -154,7 +154,6 @@ def _execute_campaign(request: dict) -> dict:
     config_kwargs = dict(
         seed=request.get("seed", 7),
         trials=request.get("trials", 100),
-        engine=options.engine,
         recovery=request.get("recovery", "halt"),
         taint_labels=options.taint_labels,
         use_caches=options.use_caches,

@@ -1,7 +1,7 @@
 """Unified taint subsystem: bit representation, label algebra, taint plane.
 
 * :mod:`repro.taint.bits` -- word taint masks and :class:`TaintVector`
-  (the paper's 1-bit-per-byte representation, formerly ``core/taint.py``).
+  (the paper's 1-bit-per-byte representation).
 * :mod:`repro.taint.labels` -- :class:`TaintLabel` provenance records and
   the interned :class:`LabelTable` set algebra.
 * :mod:`repro.taint.plane` -- :class:`TaintPlane`, the single owner of

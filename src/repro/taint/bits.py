@@ -19,7 +19,6 @@ This module is the *bit layer* of the taint subsystem: pure representation,
 no storage.  Shadow storage (per-byte taint pages, register taint masks) and
 the optional provenance-label sidecar live in :mod:`repro.taint.plane`;
 label identity and set algebra live in :mod:`repro.taint.labels`.
-``repro.core.taint`` re-exports this module for backwards compatibility.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ import pytest
 from repro.apps.synthetic import VULN_B_SOURCE, vuln_b_scenario
 from repro.attacks.replay import run_executable
 from repro.core.annotations import TaintWatchpoint, WatchpointSet
-from repro.core.detector import SecurityException
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble
 from repro.kernel.syscalls import Kernel

@@ -17,7 +17,7 @@ from repro.api import (
 from repro.attacks.replay import run_minic as legacy_run_minic
 from repro.builder import build_machine
 from repro.cli import main as cli_main
-from repro.core.policy import NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import NullPolicy, PointerTaintPolicy
 from repro.fault import CampaignConfig, FaultCampaign, builtin_workload
 from repro.libc.build import build_program
 
@@ -58,7 +58,7 @@ class TestBuilder:
         assert sim.run() == 5
 
     def test_builder_matches_legacy_detection(self):
-        from repro.core.detector import SecurityException
+        from repro.defenses.alerts import SecurityException
 
         sim, _ = build_machine(
             build_program(VICTIM), PointerTaintPolicy(), stdin=ATTACK

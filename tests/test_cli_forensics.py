@@ -9,7 +9,7 @@ from repro.api import validate_result_json
 from repro.apps.synthetic import exp1_scenario, exp3_scenario
 from repro.attacks.replay import run_minic
 from repro.cli import main
-from repro.core.policy import NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import NullPolicy, PointerTaintPolicy
 from repro.evalx.forensics import (
     explain,
     hexdump,

@@ -11,8 +11,8 @@ rebuilding the captured state from scratch:
   (first-write COW, fresh-page dropping, restore idempotence, stale
   checkpoints refused);
 * the campaign digest pin -- one golden digest asserted across rollback
-  vs fresh rebuild per trial, both engines, both taint modes,
-  superblocks on/off, and worker pools, which is the end-to-end
+  vs fresh rebuild per trial, per-instruction observers, both taint
+  modes, superblocks on/off, and worker pools, which is the end-to-end
   statement CI enforces.
 """
 
@@ -245,7 +245,7 @@ class TestCampaignDigestPin:
 
     def test_fast_triggers_match_legacy_injector(self):
         """Fire-point triggers under per-instruction observers (unfused
-        prefix, no epoch fast-forward) and on the pipeline engine."""
+        prefix, no epoch fast-forward)."""
         config = CampaignConfig(seed=11, trials=25)
         campaign = FaultCampaign(
             builtin_workload("exp3"),
@@ -255,7 +255,6 @@ class TestCampaignDigestPin:
             ),
         )
         assert campaign.run().digest() == DIGEST_PIN
-        assert self._digest(engine="pipeline") == DIGEST_PIN
 
     def test_pin_holds_in_label_mode(self):
         assert self._digest(taint_labels=True) == DIGEST_PIN

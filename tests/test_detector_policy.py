@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.detector import (
+from repro.defenses import (
     Alert,
     KIND_JUMP,
     KIND_LOAD,
@@ -10,7 +10,7 @@ from repro.core.detector import (
     SecurityException,
     TaintednessDetector,
 )
-from repro.core.policy import (
+from repro.defenses.policy import (
     ControlDataPolicy,
     DetectionPolicy,
     NullPolicy,

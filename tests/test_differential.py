@@ -9,7 +9,7 @@ instruction.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble

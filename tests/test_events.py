@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.detector import SecurityException
+from repro.defenses.alerts import SecurityException
 from repro.core.events import (
     EVENT_TYPES,
     EventBus,
@@ -14,7 +14,7 @@ from repro.core.events import (
     TaintPropagated,
     TaintedDereference,
 )
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator, SimulatorFault
 from repro.isa.assembler import assemble
 from repro.kernel.syscalls import Kernel

@@ -12,7 +12,7 @@ from repro.core.events import (
     SyscallEnter,
     TrialCompleted,
 )
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.fault import (
     CampaignConfig,
@@ -310,30 +310,10 @@ class TestRecoveryPolicies:
         assert all(r.recovered is None for r in result.records)
 
 
-class TestEngineAgreement:
-    def test_functional_and_pipeline_classify_identically(self):
-        """Both engines retire the same instruction stream, so a fixed
-        fault schedule must produce the same outcome sequence."""
-        schedule = midpoint_sweep("taint-reg", 0xF)[:8] + midpoint_sweep(
-            "reg", 1 << 31
-        )[:8]
-        functional = mini_campaign(
-            schedule=schedule, engine="functional"
-        ).run()
-        pipeline = mini_campaign(schedule=schedule, engine="pipeline").run()
-        assert [r.outcome for r in functional.records] == [
-            r.outcome for r in pipeline.records
-        ]
-        assert [r.injected for r in functional.records] == [
-            r.injected for r in pipeline.records
-        ]
-
-
 class TestFaultInjectedEvents:
     """Where and when the trigger path reports an injection."""
 
-    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
-    def test_syscall_fault_reports_the_syscall_pc(self, engine):
+    def test_syscall_fault_reports_the_syscall_pc(self):
         injected, read_pcs = [], set()
 
         def instrument(sim):
@@ -345,7 +325,7 @@ class TestFaultInjectedEvents:
 
         campaign = FaultCampaign(
             MINI,
-            CampaignConfig(trials=0, engine=engine),
+            CampaignConfig(trials=0),
             schedule=[(Trigger("syscall", 3), FaultSpec("syscall-errno"))],
             instrument=instrument,
         )
@@ -353,8 +333,7 @@ class TestFaultInjectedEvents:
         assert len(read_pcs) == 1
         assert [e.pc for e in injected] == list(read_pcs)
 
-    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
-    def test_state_fault_fires_once_right_after_its_instruction(self, engine):
+    def test_state_fault_fires_once_right_after_its_instruction(self):
         log = []
 
         def instrument(sim):
@@ -363,7 +342,7 @@ class TestFaultInjectedEvents:
 
         campaign = FaultCampaign(
             MINI,
-            CampaignConfig(trials=0, engine=engine),
+            CampaignConfig(trials=0),
             schedule=[(Trigger("insn", 100), FaultSpec("taint-reg", 29, 1))],
             instrument=instrument,
         )
@@ -377,8 +356,7 @@ class TestFaultInjectedEvents:
 
 
 #: sha256 of the exp3 / seed 11 / 25-trial campaign's JSONL trace.  Trial
-#: digests exclude events; these pin the trigger path's event stream,
-#: identical on both engines.
+#: digests exclude events; these pin the trigger path's event stream.
 TRACE_PINS = {
     "all": "a270948815a779230bcbf8d1f82e950d3bdd52065c7b9d8e37823e9dba7f5f54",
     "default": "0ab5676e1d89cb1e0e0995fd41c8a64ea05ddd29f41a2871e71c9df9b8796e07",
@@ -386,13 +364,12 @@ TRACE_PINS = {
 
 
 class TestCampaignTracePin:
-    @pytest.mark.parametrize("engine", ("functional", "pipeline"))
     @pytest.mark.parametrize("events", sorted(TRACE_PINS))
-    def test_trace_bytes_pinned(self, tmp_path, engine, events):
+    def test_trace_bytes_pinned(self, tmp_path, events):
         trace = tmp_path / "trace.jsonl"
         argv = [
             "campaign", "--builtin", "exp3", "--seed", "11",
-            "--trials", "25", "--engine", engine,
+            "--trials", "25",
             "--trace-out", str(trace),
         ]
         if events == "all":
@@ -404,8 +381,9 @@ class TestCampaignTracePin:
 
 class TestCampaignConfigValidation:
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            CampaignConfig(engine="quantum")
+        # Campaigns have one execution path: there is no engine knob.
+        with pytest.raises(TypeError, match="engine"):
+            CampaignConfig(engine="pipeline")
 
     def test_rejects_unknown_recovery(self):
         with pytest.raises(ValueError, match="recovery"):

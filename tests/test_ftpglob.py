@@ -8,7 +8,11 @@ from repro.apps.ftpglob import (
     ftpglob_scenario,
 )
 from repro.attacks.replay import run_minic
-from repro.core.policy import ControlDataPolicy, NullPolicy, PointerTaintPolicy
+from repro.defenses.policy import (
+    ControlDataPolicy,
+    NullPolicy,
+    PointerTaintPolicy,
+)
 from repro.kernel.network import ScriptedClient
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.detector import SecurityException
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.alerts import SecurityException
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.pipeline import Pipeline, STAGES
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble
@@ -84,15 +84,6 @@ class TestPipelineBasics:
         # 40 adds + 3 tail instructions + pipeline fill/drain + syscall stalls
         assert pipeline.pstats.cycles < 70
 
-    def test_cycle_limit_guard(self):
-        from repro.cpu.machine import ExecutionLimit
-
-        _, pipeline = make_machines(".text\n_start: b _start\n")
-        with pytest.raises(ExecutionLimit, match="cycles") as exc:
-            pipeline.run(max_cycles=500)
-        assert exc.value.reason == "cycles"
-        assert exc.value.cycles == 500
-
     def test_instruction_budget_matches_functional_engine(self):
         """The shared MachineState watchdog bounds the pipeline engine with
         the same instruction semantics as the functional engine."""
@@ -112,17 +103,8 @@ class TestRetirementException:
         with pytest.raises(SecurityException) as info:
             pipeline.run()
         assert info.value.alert.pointer_value == 0x64636261
-        # The malicious instruction marked at EX/MEM retired through WB.
-        assert pipeline.pstats.drain_cycles >= len(STAGES) - 2
-
-    def test_detect_stage_annotation(self):
-        _, pipeline = make_machines(ATTACK, stdin=b"abcdefgh")
-        try:
-            pipeline.run()
-        except SecurityException:
-            pass
-        # After the exception the pipe is empty: nothing younger retired.
-        assert not pipeline._inflight
+        # The malicious instruction marked at EX/MEM drained through WB.
+        assert pipeline.pstats.drain_cycles == len(STAGES) - 2
 
     def test_jump_detection_through_pipeline(self):
         source = (

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.machine import ExecutionLimit
 from repro.cpu.simulator import Simulator
 from repro.fault.checkpoint import Checkpoint

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.stats import ExecutionStats
 from repro.evalx.experiments import run_real_world, run_sec54
 from repro.isa.assembler import assemble
@@ -128,7 +128,7 @@ class TestTraceHook:
             "li $v0, 1\nli $a0, 0\nsyscall\n"
         )
         from repro.core.events import InstructionRetired
-        from repro.core.policy import NullPolicy
+        from repro.defenses.policy import NullPolicy
         from repro.cpu.simulator import Simulator
         from repro.kernel.syscalls import Kernel
 

@@ -9,13 +9,10 @@ validates once while the legacy kwargs warn exactly once per process.
 
 from __future__ import annotations
 
-import ast
-import pathlib
 import warnings
 
 import pytest
 
-import repro
 import repro.api as api
 from repro import ExecOptions, Session
 from repro.builder import build_machine
@@ -204,50 +201,3 @@ class TestLegacyKwargAliases:
             w for w in caught
             if issubclass(w.category, DeprecationWarning)
         ]
-
-
-class TestNoInternalShimImports:
-    """No module under ``repro`` may import the deprecated shims."""
-
-    SHIMS = {"repro.core.taint", "repro.core.detector", "repro.core.policy"}
-
-    @staticmethod
-    def _resolve(module: str, is_package: bool, node: ast.ImportFrom) -> str:
-        if node.level == 0:
-            return node.module or ""
-        parts = module.split(".")
-        if not is_package:
-            parts = parts[:-1]
-        parts = parts[: len(parts) - (node.level - 1)]
-        if node.module:
-            parts.append(node.module)
-        return ".".join(parts)
-
-    def test_repro_modules_avoid_shims(self):
-        pkg_root = pathlib.Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(pkg_root.rglob("*.py")):
-            rel = path.relative_to(pkg_root.parent)
-            is_package = rel.name == "__init__.py"
-            module = ".".join(rel.with_suffix("").parts)
-            if is_package:
-                module = module[: -len(".__init__")]
-            if module in self.SHIMS:
-                continue  # the shims themselves
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.name in self.SHIMS:
-                            offenders.append((str(rel), alias.name))
-                elif isinstance(node, ast.ImportFrom):
-                    base = self._resolve(module, is_package, node)
-                    if base in self.SHIMS:
-                        offenders.append((str(rel), base))
-                    for alias in node.names:
-                        dotted = f"{base}.{alias.name}"
-                        if dotted in self.SHIMS:
-                            offenders.append((str(rel), dotted))
-        assert not offenders, (
-            f"internal modules still import deprecated shims: {offenders}"
-        )

@@ -16,7 +16,7 @@ from repro.apps import (
     traceroute_scenario,
     wuftpd_scenario,
 )
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.evalx.experiments import all_attack_scenarios
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.fault.workloads import builtin_workload

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attacks.replay import run_minic
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.simulator import Simulator
 from repro.fault.faults import FaultSpec, apply_state_fault
 from repro.libc.build import build_program

@@ -3,13 +3,21 @@
 import pytest
 
 from repro.attacks.replay import OUTCOME_LIMIT, run_executable
-from repro.core.policy import PointerTaintPolicy
+from repro.defenses.policy import PointerTaintPolicy
 from repro.cpu.machine import ExecutionLimit
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.simulator import Simulator
 from repro.isa.assembler import assemble
 
 SPIN = ".text\n_start: b _start\n"
+
+#: A two-instruction loop long enough to cross several of the engine's
+#: 2048-instruction deadline checks before it ends.
+COUNTDOWN = (
+    ".text\n_start:\nli $t0, 100000\n"
+    "loop: addiu $t0, $t0, -1\nbnez $t0, loop\n"
+    "li $a0, 0\nli $v0, 1\nsyscall\n"
+)
 
 
 def make_sim():
@@ -74,21 +82,23 @@ class TestWallClockDeadline:
         assert exc.value.reason == "wallclock"
 
     def test_pipeline_engine_observes_deadline(self):
-        sim = make_sim()
+        sim = Simulator(assemble(COUNTDOWN), PointerTaintPolicy())
         sim.arm_watchdog(max_seconds=0.0)
         with pytest.raises(ExecutionLimit) as exc:
             Pipeline(sim).run()
         assert exc.value.reason == "wallclock"
 
-    def test_enforce_watchdog_reports_partial_progress(self):
-        sim = make_sim()
-        sim.stats.instructions = 123
-        sim.pc = 0x400010
+    def test_deadline_trip_reports_partial_progress(self):
+        sim = Simulator(assemble(COUNTDOWN), PointerTaintPolicy())
+        with pytest.raises(ExecutionLimit):
+            sim.run(max_instructions=123)  # pause mid-loop
+        pc = sim.pc
         sim.arm_watchdog(max_seconds=0.0)
         with pytest.raises(ExecutionLimit) as exc:
-            sim.enforce_watchdog()
+            sim.run()
+        assert exc.value.reason == "wallclock"
         assert exc.value.instructions == 123
-        assert exc.value.pc == 0x400010
+        assert exc.value.pc == pc
 
 
 class TestReplayIntegration:
