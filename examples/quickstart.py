@@ -69,7 +69,8 @@ def main() -> None:
     print(f"instructions retired : {counters['run.instructions']:,}")
     print(f"dereference checks   : {counters['run.dereference_checks']:,}")
     print(f"alerts raised        : {counters['run.alerts']}")
-    print("(pass metrics=True / trace='t.jsonl' to any Session for more)")
+    print("(add trace=TraceConfig(path='t.jsonl') to the ExecOptions "
+          "for a structured event trace)")
 
 
 if __name__ == "__main__":

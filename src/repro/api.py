@@ -10,10 +10,8 @@ unifies them:
 * one place to pick the **policy** (by name or instance), the **engine**
   (``"functional"`` or ``"pipeline"``), and the cache model -- all
   carried by one validated :class:`ExecOptions` bundle
-  (``Session(options=ExecOptions(...))``); the flat per-call kwargs the
-  repo grew up with keep working as deprecated aliases routed through a
-  single normalization site (:func:`_normalize_options`), each warning
-  once per process;
+  (``Session(options=ExecOptions(...))``), the only spelling of an
+  execution knob;
 * one place to attach **observability**: a
   :class:`~repro.obs.metrics.MetricsRegistry` (``metrics=True`` or your
   own registry) and a structured **trace** (ring buffer and/or streaming
@@ -32,19 +30,22 @@ Quickstart::
     assert result.detected
     print(result.to_json()["metrics"]["counters"]["run.instructions"])
 
-The pre-facade entry points (``repro.run_minic``/``run_executable``, the
-raw ``FaultCampaign``) remain importable as thin, stable shims; new code
-should use the facade.
+The replay harness (``repro.run_minic``/``run_executable``) and the raw
+``FaultCampaign`` are the implementation layer underneath; the facade
+adds observability and the unified result schema on top of them.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
-from .attacks.replay import RunResult, run_executable as _run_executable
+from .attacks.replay import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    RunResult,
+    run_executable as _run_executable,
+)
 from .defenses.base import Detector
 from .defenses.registry import DEFENSES
 from .defenses.policy import (
@@ -127,53 +128,16 @@ class TraceConfig:
     events: Union[None, str, Sequence] = None
     limit: int = 65536
 
-    @classmethod
-    def coerce(
-        cls, value: Union[None, bool, str, "TraceConfig"]
-    ) -> Optional["TraceConfig"]:
-        if value is None or value is False:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, str):
-            return cls(path=value)
-        if isinstance(value, cls):
-            return value
-        raise TypeError(f"cannot build a TraceConfig from {value!r}")
-
-
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: normalization site only overrides options fields the caller spelled out.
-_UNSET = object()
-
-#: Legacy kwarg names that have already warned this process (the
-#: acceptance contract is "warn exactly once", not once per call site).
-_warned_legacy_kwargs: set = set()
-
-
-def _warn_legacy_kwarg(name: str) -> None:
-    if name in _warned_legacy_kwargs:
-        return
-    _warned_legacy_kwargs.add(name)
-    warnings.warn(
-        f"the {name}= kwarg is a deprecated alias; pass "
-        f"options=ExecOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
 
 @dataclass(frozen=True)
 class ExecOptions:
     """Every execution knob, validated once, in one bundle.
 
-    Before this class, the same knobs were spelled as drifting per-call
-    kwargs across :class:`Session`, the replay harness
-    (``use_pipeline=``), :class:`~repro.fault.campaign.CampaignConfig`,
-    the CLI flags, and the serve request schema.  ``ExecOptions`` is the
-    one shape they all normalize into; the legacy kwargs keep working as
-    deprecated aliases routed through :func:`_normalize_options` (and
-    warn once per process).
+    ``ExecOptions`` is the only spelling of an execution knob:
+    :class:`Session`, its ``run_*`` methods (per-call ``options=``), the
+    CLI flags, and the serve request's ``"options"`` object all build
+    one.  A ``run_*`` call that passes one of these knobs as a flat kwarg
+    raises :class:`TypeError` instead of being silently overridden.
 
     Fields:
         engine: ``"functional"`` or ``"pipeline"`` (the same execution,
@@ -189,12 +153,8 @@ class ExecOptions:
             exists for benchmarking and digest-invariance tests).
         metrics: ``True`` for a fresh registry, or a shared
             :class:`MetricsRegistry`.
-        trace: ``True`` (ring only), a JSONL path, or a
-            :class:`TraceConfig` (the coarse legacy spelling).
-        trace_out: JSONL path for the streamed trace (overrides
-            ``trace``'s path).
-        trace_events: event-type selection for the trace (see
-            :class:`TraceConfig`).
+        trace: a :class:`TraceConfig` (JSONL path, event selection, ring
+            size), or None for no trace.
         workers: process-pool fan-out for campaigns/experiments
             (``0`` = one per core).
         max_instructions: per-run watchdog budget.
@@ -207,11 +167,9 @@ class ExecOptions:
     use_caches: bool = False
     superblocks: bool = True
     metrics: Union[None, bool, MetricsRegistry] = None
-    trace: Union[None, bool, str, TraceConfig] = None
-    trace_out: Optional[str] = None
-    trace_events: Union[None, str, Sequence] = None
+    trace: Optional[TraceConfig] = None
     workers: int = 1
-    max_instructions: int = 20_000_000
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -243,9 +201,8 @@ class ExecOptions:
             and self.max_instructions >= 1
         ):
             raise ValueError("max_instructions must be an int >= 1")
-        if self.trace_out is not None and not isinstance(self.trace_out, str):
-            raise ValueError("trace_out must be a path string or None")
-        TraceConfig.coerce(self.trace)  # raises on a bogus trace spec
+        if self.trace is not None and not isinstance(self.trace, TraceConfig):
+            raise ValueError("trace must be a TraceConfig or None")
 
     @classmethod
     def coerce(cls, value: Union[None, dict, "ExecOptions"]) -> "ExecOptions":
@@ -269,67 +226,24 @@ class ExecOptions:
         """A copy with ``overrides`` applied (re-validated)."""
         return replace(self, **overrides) if overrides else self
 
-    def trace_config(self) -> Optional[TraceConfig]:
-        """Resolve the trace trio into one :class:`TraceConfig` (or None)."""
-        base = TraceConfig.coerce(self.trace)
-        if self.trace_out is None and self.trace_events is None:
-            return base
-        if base is None:
-            base = TraceConfig()
-        return TraceConfig(
-            path=self.trace_out if self.trace_out is not None else base.path,
-            events=(
-                self.trace_events
-                if self.trace_events is not None
-                else base.events
-            ),
-            limit=base.limit,
+
+#: Flat ``run_*`` kwargs naming a knob :class:`ExecOptions` owns
+#: (``use_pipeline`` is the replay harness's spelling of ``engine``).
+#: The session sets these itself, so a caller's value would be
+#: silently overwritten; they raise instead.
+_OPTION_KWARGS = (
+    "max_instructions", "use_caches", "use_pipeline", "taint_labels",
+    "superblocks", "defense", "workers",
+)
+
+
+def _reject_option_kwargs(method: str, kwargs: Dict[str, Any]) -> None:
+    owned = [name for name in _OPTION_KWARGS if name in kwargs]
+    if owned:
+        raise TypeError(
+            f"{method}() got execution option(s) {owned} as keyword "
+            f"arguments; pass options=ExecOptions(...) instead"
         )
-
-
-def _normalize_options(
-    options: Union[None, dict, ExecOptions],
-    legacy: Dict[str, Any],
-    base: Optional[ExecOptions] = None,
-    new: Optional[Dict[str, Any]] = None,
-) -> ExecOptions:
-    """THE one legacy-kwarg normalization site.
-
-    Every entry point -- ``Session()``, ``run_minic``/``run_executable``,
-    ``run_campaign``, ``run_experiment``, the CLI, the serve workers --
-    funnels through here, so alias translation and deprecation warnings
-    cannot drift between layers.
-
-    ``options`` wins wholesale when given; mixing it with per-call kwargs
-    raises, because a silent merge would make precedence ambiguous.
-    Otherwise each ``legacy`` kwarg warns once per process
-    (:class:`DeprecationWarning`) and overrides ``base`` (the session's
-    options, or the defaults).  ``use_pipeline`` is translated onto
-    ``engine``; a legacy ``trace=`` spec replaces the whole trace trio.
-    ``new`` carries the non-deprecated spellings (``superblocks=``),
-    which override without warning.
-    """
-    new = new or {}
-    if options is not None:
-        if legacy or new:
-            mixed = sorted(list(legacy) + list(new))
-            raise ValueError(
-                f"pass either options= or individual kwargs, not both "
-                f"(got options= plus {mixed})"
-            )
-        return ExecOptions.coerce(options)
-    opts = base if base is not None else ExecOptions()
-    overrides: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        _warn_legacy_kwarg(name)
-        if name == "use_pipeline":
-            overrides["engine"] = "pipeline" if value else "functional"
-        elif name == "trace":
-            overrides.update(trace=value, trace_out=None, trace_events=None)
-        else:
-            overrides[name] = value
-    overrides.update(new)
-    return opts.merged(**overrides)
 
 
 @dataclass
@@ -589,115 +503,51 @@ def validate_result_json(payload: Any) -> dict:
 class Session:
     """The stable entry point for everything this repo can run.
 
-    The preferred construction is one validated options bundle::
+    A session is one validated options bundle::
 
         Session(options=ExecOptions(policy="paper", metrics=True))
 
-    Every individual kwarg below keeps working as a **deprecated alias**
-    (it warns once per process and routes through the same
-    :func:`_normalize_options` site), so pre-ExecOptions callers and
-    tests are untouched.  Passing ``options=`` together with individual
-    kwargs raises.
+    Its :class:`ExecOptions` (``session.options``) supply every ``run_*``
+    call's execution knobs; a per-call ``options=`` replaces them for
+    that call.  ``options`` may also be a dict of :class:`ExecOptions`
+    fields.  Two resolved views are kept alongside:
 
-    Args:
-        policy: detection policy -- alias (``"paper"``,
-            ``"control-data"``, ``"none"``), instance, or factory.
-        engine: ``"functional"`` or ``"pipeline"`` (the same run plus
-            five-stage cycle accounting).
-        use_caches: route data accesses through the taint-carrying L1/L2
-            hierarchy.
-        metrics: ``True`` for a fresh :class:`MetricsRegistry`, or pass
-            a registry to share one across sessions.  Counters accumulate
-            across this session's runs.
-        trace: ``True`` (ring only), a JSONL path, or a
-            :class:`TraceConfig`.
-        max_instructions: default per-run watchdog budget.
-        taint_labels: run the taint plane in **label mode** -- every
-            external-input copy-in is tagged with a provenance label
-            (``read(fd=4) bytes 96..99``) and detection alerts carry the
-            tainting input's byte ranges (``alert.provenance``, surfaced
-            in ``to_json()["stats"]["provenance"]``).  Detection verdicts
-            and statistics are identical to the default bit mode.
-        defense: pluggable defense to attach to every run -- a registry
-            name (``"taintedness"``, ``"shadow-stack"``, ``"pac"``) or a
-            built :class:`repro.defenses.Detector`.  With the session's
-            default ``policy`` the machine runs under the defense's own
-            default policy (comparators run unprotected so the inline
-            taintedness check cannot preempt them); an explicit policy
-            overrides that.
-        superblocks: enable the fused superblock dispatch tier
-            (default on; results are byte-identical either way).  Not a
-            legacy alias -- never warns.
-        workers: default process-pool fan-out for campaigns and
-            experiments.  Not a legacy alias.
-        trace_out / trace_events: the flat trace spellings (the CLI's
-            ``--trace-out``/``--trace-events``).  Not legacy aliases.
-        options: an :class:`ExecOptions` (or a dict of its fields)
-            carrying all of the above in one validated bundle.
+    * ``metrics`` -- the :class:`MetricsRegistry` the options asked for
+      (``metrics=True`` builds a fresh one), or None.  Counters
+      accumulate across this session's runs.
+    * ``trace`` -- the session's :class:`TraceConfig`, or None.
+
+    With a ``defense`` and the default ``"paper"`` policy, runs use the
+    defense's own default policy (comparators run unprotected so the
+    inline taintedness check cannot preempt them); an explicit per-call
+    ``policy`` overrides that.  With ``taint_labels`` the taint plane
+    runs in **label mode**: detection alerts carry the tainting input's
+    byte ranges (``alert.provenance``, surfaced in
+    ``to_json()["stats"]["provenance"]``) with verdicts identical to the
+    default bit mode.
     """
 
     def __init__(
-        self,
-        policy: Union[None, str, DetectionPolicy, Callable] = _UNSET,
-        engine: str = _UNSET,
-        use_caches: bool = _UNSET,
-        metrics: Union[None, bool, MetricsRegistry] = _UNSET,
-        trace: Union[None, bool, str, TraceConfig] = _UNSET,
-        max_instructions: int = _UNSET,
-        taint_labels: bool = _UNSET,
-        defense: Union[None, str, Detector] = _UNSET,
-        *,
-        superblocks: bool = _UNSET,
-        workers: int = _UNSET,
-        trace_out: Optional[str] = _UNSET,
-        trace_events: Union[None, str, Sequence] = _UNSET,
-        options: Union[None, dict, ExecOptions] = None,
+        self, *, options: Union[None, dict, ExecOptions] = None
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("policy", policy),
-                ("engine", engine),
-                ("use_caches", use_caches),
-                ("metrics", metrics),
-                ("trace", trace),
-                ("max_instructions", max_instructions),
-                ("taint_labels", taint_labels),
-                ("defense", defense),
-            )
-            if value is not _UNSET
-        }
-        new = {
-            name: value
-            for name, value in (
-                ("superblocks", superblocks),
-                ("workers", workers),
-                ("trace_out", trace_out),
-                ("trace_events", trace_events),
-            )
-            if value is not _UNSET
-        }
-        opts = _normalize_options(options, legacy, new=new)
-        #: The session's normalized :class:`ExecOptions` bundle.
-        self.options = opts
-        self.policy_spec = opts.policy
-        self.defense = opts.defense
-        self.engine = opts.engine
-        self.use_caches = opts.use_caches
-        self.taint_labels = opts.taint_labels
-        self.superblocks = opts.superblocks
-        self.workers = opts.workers
-        metrics_value = opts.metrics
-        if metrics_value is True:
-            metrics_value = MetricsRegistry()
-        elif metrics_value is False:
-            metrics_value = None
-        self.metrics: Optional[MetricsRegistry] = metrics_value
-        self.trace = opts.trace_config()
-        self.max_instructions = opts.max_instructions
+        #: The session's validated :class:`ExecOptions` bundle.
+        self.options = ExecOptions.coerce(options)
+        metrics = self.options.metrics
+        if metrics is True:
+            metrics = MetricsRegistry()
+        elif metrics is False:
+            metrics = None
+        self.metrics: Optional[MetricsRegistry] = metrics
+        self.trace: Optional[TraceConfig] = self.options.trace
         #: The most recent run's trace recorder (ring buffer inspection).
         self.last_trace: Optional[TraceRecorder] = None
         self._trace_paths_opened: set = set()
+
+    def _call_options(
+        self, options: Union[None, dict, ExecOptions]
+    ) -> ExecOptions:
+        """The options for one call: ``options=`` or the session's."""
+        return self.options if options is None else ExecOptions.coerce(options)
 
     # ------------------------------------------------------------------
     # observability plumbing
@@ -756,13 +606,6 @@ class Session:
     # run: single executions (replaces ad-hoc run_minic/run_executable)
     # ------------------------------------------------------------------
 
-    #: ``run_*`` kwargs that are deprecated aliases for ExecOptions
-    #: fields (``use_pipeline`` is the pre-ExecOptions engine spelling).
-    _RUN_LEGACY = (
-        "use_pipeline", "use_caches", "taint_labels", "max_instructions",
-        "defense",
-    )
-
     def run_executable(
         self,
         exe: Executable,
@@ -774,43 +617,34 @@ class Session:
         """Run a built executable; returns a :class:`RunResult`.
 
         Keyword arguments (``stdin``, ``argv``, ``clients``,
-        ``filesystem``, ``subscribers``, ``record_events``, ...) are the
-        replay harness's.  Execution knobs come from the session's
-        :class:`ExecOptions`; a per-call ``options=`` replaces them for
-        this run, and the pre-ExecOptions per-call kwargs
-        (``use_pipeline``, ``use_caches``, ``taint_labels``,
-        ``max_instructions``, ``defense``) keep working as deprecated
-        aliases.
+        ``filesystem``, ``subscribers``, ``record_events``,
+        ``max_seconds``, ...) are the replay harness's.  Execution knobs
+        come from the session's :class:`ExecOptions`, or from a per-call
+        ``options=`` that replaces them for this run; passing one as a
+        flat kwarg raises :class:`TypeError`.  A positional ``policy``
+        overrides the options' policy (and a defense's default policy).
         """
-        legacy = {
-            name: kwargs.pop(name)
-            for name in self._RUN_LEGACY
-            if name in kwargs
-        }
-        if legacy.get("defense", _UNSET) is None:
-            # defense=None always meant "inherit the session default".
-            legacy.pop("defense", None)
-        new = {}
-        if "superblocks" in kwargs:
-            new["superblocks"] = kwargs.pop("superblocks")
-        opts = _normalize_options(options, legacy, base=self.options, new=new)
-        kwargs["max_instructions"] = opts.max_instructions
-        kwargs["use_caches"] = opts.use_caches
-        kwargs["use_pipeline"] = opts.engine == "pipeline"
-        kwargs["taint_labels"] = opts.taint_labels
-        kwargs["superblocks"] = opts.superblocks
-        defense = opts.defense
+        _reject_option_kwargs("run_executable", kwargs)
+        opts = self._call_options(options)
         if policy is not None:
             resolved = resolve_policy(policy)
-        elif defense is not None and opts.policy == "paper":
+        elif opts.defense is not None and opts.policy == "paper":
             # Let the replay harness pick the defense's default policy
             # (NullPolicy for the comparators).
             resolved = None
         else:
             resolved = resolve_policy(opts.policy)
         return _run_executable(
-            exe, resolved, instrument=self._instrument, defense=defense,
-            **kwargs
+            exe,
+            resolved,
+            instrument=self._instrument,
+            defense=opts.defense,
+            max_instructions=opts.max_instructions,
+            use_caches=opts.use_caches,
+            use_pipeline=opts.engine == "pipeline",
+            taint_labels=opts.taint_labels,
+            superblocks=opts.superblocks,
+            **kwargs,
         )
 
     def run_minic(
@@ -824,7 +658,8 @@ class Session:
 
         ``opt_level`` selects the MiniC backend: 0 is the legacy oracle
         codegen, 1 the IR optimization pipeline (same verdicts, fewer
-        dynamic instructions).
+        dynamic instructions).  Other arguments are as for
+        :meth:`run_executable`.
         """
         return self.run_executable(
             build_program(source, opt_level=opt_level), policy, **kwargs
@@ -855,12 +690,13 @@ class Session:
         :class:`CampaignConfig` (``seed``, ``trials``, ``recovery``,
         ``kinds``, ...).  Execution knobs (``use_caches``,
         ``taint_labels``, ``superblocks``, ``workers``) come from the
-        session's :class:`ExecOptions` or a per-call ``options=``; the
-        flat spellings keep working as deprecated aliases.
+        session's :class:`ExecOptions` or a per-call ``options=``;
+        passing one as a flat kwarg raises :class:`TypeError`.
         ``workers=N`` runs the trials on the :mod:`repro.parallel`
         process pool (``0`` = one worker per core) with a byte-identical
         digest; the result then carries a ``stats.parallel`` summary.
         """
+        _reject_option_kwargs("run_campaign", config_kwargs)
         given = [x is not None for x in (source, builtin, workload)]
         if sum(given) != 1:
             raise ValueError(
@@ -876,20 +712,14 @@ class Session:
                 stdin=stdin,
                 argv=tuple(argv),
             )
-        legacy = {
-            key: config_kwargs.pop(key)
-            for key in ("use_caches", "taint_labels", "workers")
-            if key in config_kwargs
-        }
-        new = {}
-        if "superblocks" in config_kwargs:
-            new["superblocks"] = config_kwargs.pop("superblocks")
-        opts = _normalize_options(options, legacy, base=self.options, new=new)
-        config_kwargs["use_caches"] = opts.use_caches
-        config_kwargs["taint_labels"] = opts.taint_labels
-        config_kwargs["superblocks"] = opts.superblocks
-        config_kwargs["workers"] = opts.workers
-        config = CampaignConfig(**config_kwargs)
+        opts = self._call_options(options)
+        config = CampaignConfig(
+            use_caches=opts.use_caches,
+            taint_labels=opts.taint_labels,
+            superblocks=opts.superblocks,
+            workers=opts.workers,
+            **config_kwargs,
+        )
 
         finalizers = []
 
@@ -928,7 +758,6 @@ class Session:
         self,
         name: str,
         render: bool = True,
-        workers: Optional[int] = None,
         *,
         options: Union[None, dict, ExecOptions] = None,
     ) -> ExperimentResult:
@@ -938,9 +767,8 @@ class Session:
         ``table2``, ``table3``, ``table4``, ``sec54``, ``coverage``,
         ``matrix``).
         With ``render=True`` the paper-style text report is included.
-        ``workers=N`` (a deprecated alias for
-        ``options=ExecOptions(workers=N)``; the session's options supply
-        the default) fans row-independent artifacts out to the
+        The options' ``workers`` (the session's, or a per-call
+        ``options=``) fans row-independent artifacts out to the
         :mod:`repro.parallel` process pool (``0`` = one per core);
         rendered tables are byte-identical to serial runs.  ``fig1``
         (static data) and ``sec54`` (wall-clock measurement) always run
@@ -964,9 +792,7 @@ class Session:
             raise ValueError(
                 f"unknown experiment {name!r}; choose from {sorted(adapters)}"
             )
-        legacy = {} if workers is None else {"workers": workers}
-        opts = _normalize_options(options, legacy, base=self.options)
-        workers = opts.workers
+        workers = self._call_options(options).workers
         timer = (
             self.metrics.timer(f"experiment.{name}.seconds").start()
             if self.metrics is not None

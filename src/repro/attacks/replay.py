@@ -7,11 +7,11 @@ or instruction-budget exhaustion.  The result also exposes the kernel's
 compromise indicators (programs exec'd, privilege changes) so benchmarks can
 report whether an *undetected* attack actually succeeded.
 
-.. deprecated::
-    ``run_executable``/``run_minic`` remain as the stable low-level entry
-    points, but new code should go through :class:`repro.api.Session`,
-    which adds metrics/tracing wiring and the unified result schema on
-    top of the same implementation.
+``run_executable``/``run_minic`` are the implementation layer that
+:class:`repro.api.Session` drives: the facade adds metrics/tracing
+wiring, :class:`~repro.api.ExecOptions` resolution and the unified result
+schema on top.  Harnesses that need the raw per-run knobs (the
+benchmarks, the evalx runners, the attack scenarios) call them directly.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ OUTCOME_EXIT = "exit"
 OUTCOME_ALERT = "alert"
 OUTCOME_FAULT = "fault"
 OUTCOME_LIMIT = "limit"
+
+#: Default per-run watchdog budget, in retired instructions.
+DEFAULT_MAX_INSTRUCTIONS = 20_000_000
 
 
 @dataclass
@@ -164,7 +167,7 @@ def run_executable(
     env: Optional[Sequence[str]] = None,
     clients: Optional[Sequence[ScriptedClient]] = None,
     filesystem: Optional[SimFileSystem] = None,
-    max_instructions: int = 20_000_000,
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     max_seconds: Optional[float] = None,
     use_caches: bool = False,
     use_pipeline: bool = False,

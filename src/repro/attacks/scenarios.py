@@ -20,7 +20,7 @@ from ..defenses.policy import (
 )
 from ..isa.program import Executable
 from ..libc.build import build_program
-from .replay import RunResult, run_executable
+from .replay import DEFAULT_MAX_INSTRUCTIONS, RunResult, run_executable
 
 #: Scenario categories.
 CONTROL_DATA = "control-data"
@@ -48,7 +48,7 @@ class AttackScenario:
     detected_by_control_data: bool = False
     #: Paper artifact this scenario reproduces (figure/table/section).
     paper_ref: str = ""
-    max_instructions: int = 20_000_000
+    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
     #: Evidence that an *undetected* attack run actually did its damage
     #: (shell exec'd, flag flipped, secret leaked, wild write landed...).
     #: Defaults to "a tainted pointer was dereferenced or a shell ran".

@@ -30,7 +30,14 @@ import sys
 from time import perf_counter
 from typing import Callable, Dict, Optional, Sequence
 
-from .api import ExecOptions, POLICIES, Session, validate_result_json
+from .api import (
+    ExecOptions,
+    POLICIES,
+    Session,
+    TraceConfig,
+    validate_result_json,
+)
+from .attacks.replay import DEFAULT_MAX_INSTRUCTIONS
 from .defenses import DEFENSES
 from .core.events import InstructionRetired
 from .evalx import experiments
@@ -102,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="file whose bytes become stdin")
         p.add_argument("--arg", action="append", default=[],
                        help="argv entry (repeatable); argv[0] is the file name")
-        p.add_argument("--max-instructions", type=int, default=20_000_000)
+        p.add_argument("--max-instructions", type=int,
+                       default=DEFAULT_MAX_INSTRUCTIONS)
         p.add_argument("-O", dest="opt_level", type=int, choices=(0, 1),
                        default=0,
                        help="MiniC optimization level: 0 = legacy oracle "
@@ -315,20 +323,24 @@ def _build(path: str, raw_asm: bool, opt_level: int = 0):
     return build_program(source, opt_level=opt_level)
 
 
+def _trace_from_flags(args: argparse.Namespace) -> Optional[TraceConfig]:
+    """The ``--trace-out``/``--trace-events`` flags as one TraceConfig."""
+    if args.trace_out is None and args.trace_events is None:
+        return None
+    return TraceConfig(path=args.trace_out, events=args.trace_events)
+
+
 def _make_session(args: argparse.Namespace, engine: str) -> Session:
-    # The CLI is ExecOptions-native: every flag lands in the one bundle,
-    # so no run here ever goes through the deprecated-alias path.
     return Session(options=ExecOptions(
-        policy=args.policy if hasattr(args, "policy") else "paper",
+        policy=args.policy,
         engine=engine,
         use_caches=args.caches,
         metrics=bool(args.metrics) or None,
-        trace_out=args.trace_out,
-        trace_events=args.trace_events,
-        max_instructions=getattr(args, "max_instructions", 20_000_000),
-        taint_labels=getattr(args, "taint_labels", False),
-        defense=getattr(args, "defense", None),
-        superblocks=not getattr(args, "no_superblocks", False),
+        trace=_trace_from_flags(args),
+        max_instructions=args.max_instructions,
+        taint_labels=args.taint_labels,
+        defense=args.defense,
+        superblocks=not args.no_superblocks,
     ))
 
 
@@ -392,8 +404,7 @@ def _command_forensics(args: argparse.Namespace, out=sys.stdout) -> int:
         engine="pipeline" if args.pipeline else "functional",
         use_caches=args.caches,
         metrics=True,
-        trace_out=args.trace_out,
-        trace_events=args.trace_events,
+        trace=_trace_from_flags(args),
         max_instructions=args.max_instructions,
         taint_labels=True,
         superblocks=not args.no_superblocks,
@@ -434,8 +445,7 @@ def _command_campaign(args: argparse.Namespace, out=sys.stdout) -> int:
     session = Session(options=ExecOptions(
         use_caches=args.caches,
         metrics=bool(args.metrics) or None,
-        trace_out=args.trace_out,
-        trace_events=args.trace_events,
+        trace=_trace_from_flags(args),
         taint_labels=args.taint_labels,
         workers=args.workers,
         superblocks=not args.no_superblocks,

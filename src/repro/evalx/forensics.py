@@ -100,7 +100,7 @@ def provenance_report(result: RunResult) -> str:
     if not alert.provenance:
         return (
             "no provenance labels recorded; re-run in label mode "
-            "(Session(taint_labels=True) or `repro forensics`) to "
+            "(ExecOptions(taint_labels=True) or `repro forensics`) to "
             "attribute tainted bytes to their input"
         )
     parts = [

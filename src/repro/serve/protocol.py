@@ -12,6 +12,11 @@ job.  Failures are the uniform error envelope ``{"kind": "error",
 "reason": <short-code>, "error": {"type", "message"}}``, which the
 unified schema also accepts.
 
+Execution knobs travel in one place: a request's ``"options"`` object,
+the wire form of :class:`repro.api.ExecOptions` (:data:`OPTIONS_FIELDS`;
+campaigns accept the :data:`CAMPAIGN_OPTIONS_FIELDS` subset).  An option
+field given at the top level of a request is a ``bad_request``.
+
 This module is deliberately free of asyncio and sockets: it parses,
 validates, and encodes dicts, so every protocol rule is unit-testable
 without a running server.
@@ -23,8 +28,8 @@ import json
 from typing import Any, Dict, Optional
 
 __all__ = [
+    "CAMPAIGN_OPTIONS_FIELDS",
     "JOB_KINDS",
-    "LEGACY_OPTION_KEYS",
     "MAX_LINE_BYTES",
     "OPTIONS_FIELDS",
     "PRIORITIES",
@@ -67,11 +72,11 @@ OPTIONS_FIELDS = (
     "superblocks", "max_instructions",
 )
 
-#: Top-level request keys that remain accepted as deprecated aliases for
-#: the same-named ``options`` fields (pre-ExecOptions clients).
-LEGACY_OPTION_KEYS = (
-    "engine", "policy", "defense", "taint_labels", "max_instructions",
-)
+#: The ``options`` fields a campaign honours.  Campaigns always run the
+#: pointer-taintedness policy on the functional engine under their own
+#: golden-run budget, so ``engine``/``policy``/``defense``/
+#: ``max_instructions`` would be silently ignored; they are refused.
+CAMPAIGN_OPTIONS_FIELDS = ("taint_labels", "use_caches", "superblocks")
 
 
 class ProtocolError(ValueError):
@@ -127,26 +132,26 @@ def _check_number(obj: dict, key: str) -> Optional[float]:
     return float(value)
 
 
-def _check_options(obj: dict) -> None:
+def _check_options(obj: dict, allowed: tuple) -> None:
     """Structural checks for a request's ``"options"`` object.
 
     Mirrors :class:`repro.api.ExecOptions` validation for the wire
-    subset; a top-level legacy alias that duplicates an ``options``
-    field is rejected so precedence is never ambiguous (the same rule
-    ``Session`` applies to ``options=`` plus individual kwargs).
+    subset ``allowed`` (what the request's job kind honours).  An option
+    field at the top level of the request is refused rather than
+    ignored, so a client never silently gets defaults.
     """
+    misplaced = sorted(set(OPTIONS_FIELDS) & set(obj))
+    _require(not misplaced,
+             f"option field(s) {misplaced} go inside 'options', "
+             f"not at the top level of the request")
     options = obj.get("options")
     if options is None:
         return
     _require(isinstance(options, dict), "'options' must be a JSON object")
-    unknown = sorted(set(options) - set(OPTIONS_FIELDS))
+    unknown = sorted(set(options) - set(allowed))
     _require(not unknown,
-             f"unknown options field(s) {unknown}; "
-             f"choose from {sorted(OPTIONS_FIELDS)}")
-    overlap = sorted(set(options) & set(obj) - {"options"})
-    _require(not overlap,
-             f"give {overlap} inside 'options' or at the top level, "
-             f"not both")
+             f"options field(s) {unknown} not accepted by "
+             f"{obj['kind']} jobs; choose from {sorted(allowed)}")
     engine = options.get("engine", "functional")
     _require(engine in ("functional", "pipeline"),
              f"options.engine={engine!r} not in ('functional', 'pipeline')")
@@ -167,10 +172,9 @@ def validate_request(obj: Any) -> dict:
     (an unknown builtin workload, a MiniC compile error) surface later as
     job-level error envelopes, so one bad job never kills a connection.
 
-    ``run`` and ``campaign`` requests may carry an ``"options"`` object
-    (the wire form of :class:`repro.api.ExecOptions`, see
-    :data:`OPTIONS_FIELDS`); the flat top-level keys in
-    :data:`LEGACY_OPTION_KEYS` keep working as deprecated aliases.
+    ``run`` requests may carry an ``"options"`` object with any of
+    :data:`OPTIONS_FIELDS`, ``campaign`` requests one with
+    :data:`CAMPAIGN_OPTIONS_FIELDS`; experiment jobs take none.
     """
     _require(isinstance(obj, dict), "request must be a JSON object")
     kind = obj.get("kind")
@@ -192,12 +196,8 @@ def validate_request(obj: Any) -> dict:
             isinstance(argv, list) and all(isinstance(a, str) for a in argv),
             "'argv' must be a list of strings",
         )
-        engine = obj.get("engine", "functional")
-        _require(engine in ("functional", "pipeline"),
-                 f"engine={engine!r} not in ('functional', 'pipeline')")
-        _check_int(obj, "max_instructions", minimum=1)
         _check_number(obj, "deadline_s")
-        _check_options(obj)
+        _check_options(obj, OPTIONS_FIELDS)
     elif kind == "campaign":
         source = _check_str(obj, "source")
         builtin = _check_str(obj, "builtin")
@@ -207,8 +207,9 @@ def validate_request(obj: Any) -> dict:
         _check_int(obj, "seed", minimum=0)
         _check_int(obj, "trials", minimum=1)
         _check_number(obj, "deadline_s")
-        _check_options(obj)
+        _check_options(obj, CAMPAIGN_OPTIONS_FIELDS)
     elif kind in ("experiment", "matrix"):
+        _check_options(obj, ())
         name = obj.get("name", "matrix" if kind == "matrix" else None)
         _require(name in EXPERIMENT_NAMES,
                  f"experiment name={name!r} not in {EXPERIMENT_NAMES}")

@@ -181,8 +181,14 @@ class ReproServer:
 
     async def _scheduler(self) -> None:
         while True:
+            # Take a worker slot before choosing a job: a job popped
+            # while every worker is busy would wait outside the queue,
+            # where it can neither be shed nor overtaken by a later
+            # higher-priority arrival.
+            await self._slots.acquire()
             job = self.queue.pop()
             if job is None:
+                self._slots.release()
                 if self.draining and self._in_flight == 0:
                     return
                 self._wakeup.clear()
@@ -191,7 +197,6 @@ class ReproServer:
                 # exit condition above is always re-evaluated.
                 await self._wakeup.wait()
                 continue
-            await self._slots.acquire()
             self._in_flight += 1
             asyncio.ensure_future(self._run_one(job))
 

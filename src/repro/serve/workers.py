@@ -100,25 +100,11 @@ def _cached_executable(request: dict):
 
 
 def _exec_options(request: dict):
-    """Build the job's :class:`repro.api.ExecOptions`.
-
-    The validated ``"options"`` object wins; the flat top-level keys
-    (``engine``, ``policy``, ...) remain the deprecated-alias spelling
-    for pre-ExecOptions clients.  The protocol layer already rejected
-    requests that give the same knob both ways.
-    """
+    """The job's :class:`repro.api.ExecOptions`: the request's validated
+    ``"options"`` object over the defaults."""
     from ..api import ExecOptions
 
-    merged = {
-        "policy": request.get("policy", "paper"),
-        "engine": request.get("engine", "functional"),
-        "taint_labels": bool(request.get("taint_labels", False)),
-        "defense": request.get("defense"),
-    }
-    if request.get("max_instructions") is not None:
-        merged["max_instructions"] = request["max_instructions"]
-    merged.update(request.get("options") or {})
-    return ExecOptions(**merged)
+    return ExecOptions(**(request.get("options") or {}))
 
 
 def _execute_run(request: dict) -> dict:

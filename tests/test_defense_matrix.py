@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import Session, validate_result_json
+from repro.api import ExecOptions, Session, validate_result_json
 from repro.cli import main as cli_main
 from repro.evalx.defense_matrix import (
     DEFENSE_NAMES,
@@ -135,7 +135,7 @@ class TestOverhead:
 
 class TestFacadeAndSchema:
     def test_session_matrix_experiment(self):
-        session = Session(metrics=True)
+        session = Session(options=ExecOptions(metrics=True))
         result = session.run_experiment("matrix", render=False)
         assert result.detected
         payload = validate_result_json(result.to_json())
@@ -145,7 +145,7 @@ class TestFacadeAndSchema:
         assert counters["defense.shadow-stack.detections"] >= 1
 
     def test_run_result_defenses_block_round_trips(self):
-        session = Session(defense="shadow-stack")
+        session = Session(options=ExecOptions(defense="shadow-stack"))
         result = session.run_minic(
             "int main(void){ char b[8]; gets(b); return 0; }",
             stdin=b"a" * 32,
@@ -182,10 +182,10 @@ class TestFacadeAndSchema:
 
     def test_session_defense_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown defense"):
-            Session(defense="nonsense")
+            Session(options=ExecOptions(defense="nonsense"))
 
     def test_explicit_policy_overrides_defense_default(self):
-        session = Session(defense="shadow-stack")
+        session = Session(options=ExecOptions(defense="shadow-stack"))
         result = session.run_minic(
             "int main(void){ char b[8]; gets(b); return 0; }",
             "paper",  # per-call policy wins over the defense's default

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import Session, TraceConfig
+from repro.api import ExecOptions, Session, TraceConfig
 from repro.cli import main as cli_main
 from repro.core.events import (
     EVENT_TYPES,
@@ -35,7 +35,9 @@ ATTACK = b"a" * 24
 
 def run_traced(tmp_path, **trace_kwargs):
     path = str(tmp_path / "trace.jsonl")
-    session = Session(trace=TraceConfig(path=path, **trace_kwargs))
+    session = Session(options=ExecOptions(
+        trace=TraceConfig(path=path, **trace_kwargs)
+    ))
     result = session.run_minic(VICTIM, stdin=ATTACK)
     return session, result, path
 

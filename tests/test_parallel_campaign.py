@@ -13,7 +13,7 @@ import multiprocessing
 
 import pytest
 
-from repro.api import Session, validate_result_json
+from repro.api import ExecOptions, Session, validate_result_json
 from repro.cli import main as cli_main
 from repro.fault import (
     CampaignConfig,
@@ -223,10 +223,8 @@ class TestWorkerCrash:
 
 class TestSessionAndCli:
     def test_facade_threads_workers_and_pool_metrics(self):
-        session = Session(metrics=True)
-        result = session.run_campaign(
-            workload=MINI, seed=11, trials=12, workers=2
-        )
+        session = Session(options=ExecOptions(metrics=True, workers=2))
+        result = session.run_campaign(workload=MINI, seed=11, trials=12)
         payload = validate_result_json(result.to_json())
         assert payload["stats"]["parallel"]["workers"] == 2
         dump = session.metrics.to_dict()

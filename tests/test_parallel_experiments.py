@@ -2,8 +2,8 @@
 
 PR 5's poisoned-worker seam (``REPRO_PARALLEL_POISON_INDEX``) was only
 exercised through campaign chunks; these tests drive it through the
-artifact-row path -- ``Session.run_experiment(..., workers=2)`` and
-``repro report -j2`` -- and pin the invariant that a worker crash
+artifact-row path -- ``Session.run_experiment`` with
+``ExecOptions(workers=2)`` and ``repro report -j2`` -- and pin the invariant that a worker crash
 degrades to an in-parent retry with **row-identical** output.
 """
 
@@ -12,7 +12,7 @@ import multiprocessing
 
 import pytest
 
-from repro.api import Session
+from repro.api import ExecOptions, Session
 from repro.cli import main as cli_main
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.engine import POISON_ENV
@@ -45,9 +45,13 @@ class TestPoisonedExperimentRows:
         assert counters["parallel.experiment.fig2.chunk_retries"] >= 1
 
     def test_session_run_experiment_is_row_identical(self, monkeypatch):
-        serial = Session().run_experiment("fig2", render=True, workers=1)
+        serial = Session(
+            options=ExecOptions(workers=1)
+        ).run_experiment("fig2", render=True)
         monkeypatch.setenv(POISON_ENV, "1")
-        poisoned = Session().run_experiment("fig2", render=True, workers=2)
+        poisoned = Session(
+            options=ExecOptions(workers=2)
+        ).run_experiment("fig2", render=True)
         assert poisoned.report == serial.report
         assert _without_timing(poisoned.to_json()) == _without_timing(
             serial.to_json()

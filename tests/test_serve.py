@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.api import Session, validate_result_json
+from repro.api import ExecOptions, Session, validate_result_json
 from repro.parallel.engine import POISON_ENV
 from repro.serve import (
     AdmissionQueue,
@@ -34,7 +34,7 @@ from repro.serve import (
     parse_request,
     validate_request,
 )
-from repro.serve.protocol import MAX_LINE_BYTES, encode
+from repro.serve.protocol import MAX_LINE_BYTES, OPTIONS_FIELDS, encode
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -46,6 +46,14 @@ SPIN_ASM = ".text\n_start: b _start\n"
 HELLO_C = r"""
 int main(void) {
     printf("hi\n");
+    return 0;
+}
+"""
+
+VICTIM_C = """
+int main(void) {
+    char buf[10];
+    scan_string(buf);
     return 0;
 }
 """
@@ -101,13 +109,73 @@ class TestProtocol:
         base = {"kind": "run", "asm": SPIN_ASM}
         for patch in (
             {"priority": "urgent"},
-            {"engine": "quantum"},
-            {"max_instructions": 0},
+            {"options": {"engine": "quantum"}},
+            {"options": {"max_instructions": 0}},
             {"deadline_s": 0},
             {"deadline_s": "soon"},
         ):
             with pytest.raises(ProtocolError):
                 validate_request(dict(base, **patch))
+
+    def test_options_object_accepts_every_wire_field(self):
+        options = {
+            "engine": "pipeline", "policy": "control-data",
+            "defense": "pac", "taint_labels": True, "use_caches": True,
+            "superblocks": False, "max_instructions": 9,
+        }
+        assert sorted(options) == sorted(OPTIONS_FIELDS)
+        req = validate_request(
+            {"kind": "run", "asm": SPIN_ASM, "options": options}
+        )
+        assert req["options"] == options
+
+    def test_rejects_unknown_options_field(self):
+        with pytest.raises(ProtocolError, match="turbo"):
+            validate_request(
+                {"kind": "run", "asm": SPIN_ASM, "options": {"turbo": True}}
+            )
+        with pytest.raises(ProtocolError, match="JSON object"):
+            validate_request(
+                {"kind": "run", "asm": SPIN_ASM, "options": ["pipeline"]}
+            )
+
+    def test_rejects_option_fields_at_the_top_level(self):
+        for key, value in (
+            ("engine", "pipeline"), ("policy", "paper"), ("defense", "pac"),
+            ("taint_labels", True), ("max_instructions", 500),
+        ):
+            for request in (
+                {"kind": "run", "asm": SPIN_ASM},
+                {"kind": "campaign", "builtin": "exp3"},
+            ):
+                with pytest.raises(ProtocolError, match="'options'") as exc:
+                    validate_request(dict(request, **{key: value}))
+                assert exc.value.reason == "bad_request"
+
+    def test_campaign_options_are_the_campaign_subset(self):
+        req = validate_request({
+            "kind": "campaign", "builtin": "exp3",
+            "options": {"taint_labels": True, "use_caches": False,
+                        "superblocks": False},
+        })
+        assert req["options"]["taint_labels"] is True
+        for field, value in (
+            ("defense", "pac"), ("engine", "pipeline"),
+            ("max_instructions", 5), ("policy", "none"),
+        ):
+            with pytest.raises(ProtocolError, match="campaign") as exc:
+                validate_request({
+                    "kind": "campaign", "builtin": "exp3",
+                    "options": {field: value},
+                })
+            assert exc.value.reason == "bad_request"
+
+    def test_experiment_jobs_take_no_options(self):
+        with pytest.raises(ProtocolError, match="experiment"):
+            validate_request({
+                "kind": "experiment", "name": "fig1",
+                "options": {"workers": 2},
+            })
 
     def test_matrix_defaults_its_name(self):
         req = validate_request({"kind": "matrix"})
@@ -310,10 +378,44 @@ class TestServeEndToEnd:
     def test_instruction_budget_is_honored(self, gateway):
         with self.client(gateway) as client:
             result = client.request(
-                {"kind": "run", "asm": SPIN_ASM, "max_instructions": 500}
+                {"kind": "run", "asm": SPIN_ASM,
+                 "options": {"max_instructions": 500}}
             )
         assert result["stats"]["outcome"] == "limit"
         assert result["stats"]["limit"]["reason"] == "instructions"
+
+    def test_pipeline_option_matches_in_process_session(self, gateway):
+        with self.client(gateway) as client:
+            served = client.request({
+                "kind": "run", "source": VICTIM_C, "stdin": "a" * 24,
+                "id": "pipe", "options": {"engine": "pipeline"},
+            })
+        local = Session(
+            options=ExecOptions(engine="pipeline")
+        ).run_minic(VICTIM_C, stdin=b"a" * 24, argv=["pipe"]).to_json()
+        payload = validate_result_json(served)
+        assert payload["detected"] is True
+        assert payload["stats"]["cycles"] > payload["stats"]["instructions"]
+        assert payload["stats"]["cpi"] == local["stats"]["cpi"]
+        for key in ("outcome", "alert", "instructions", "cycles"):
+            assert payload["stats"][key] == local["stats"][key], key
+
+    def test_top_level_option_is_a_bad_request(self, gateway):
+        with self.client(gateway) as client:
+            rejected = client.request(
+                {"kind": "run", "source": HELLO_C, "engine": "pipeline"}
+            )
+            campaign = client.request({
+                "kind": "campaign", "builtin": "exp3",
+                "options": {"defense": "pac"},
+            })
+            after = client.request({"kind": "run", "source": HELLO_C})
+        for payload in (rejected, campaign):
+            validate_result_json(payload)
+            assert payload["kind"] == "error"
+            assert payload["reason"] == "bad_request"
+        assert "'options'" in rejected["error"]["message"]
+        assert after["stats"]["outcome"] == "exit"
 
     def test_job_level_failure_is_an_envelope_not_a_dead_worker(
         self, gateway
@@ -432,15 +534,25 @@ class TestChaosInvariants:
 
     def test_shedding_prefers_the_oldest_low_priority_job(self, monkeypatch):
         """A high-priority arrival on a full queue evicts the oldest
-        low-priority job, which still gets a terminal ``shed`` envelope."""
+        low-priority job, which still gets a terminal ``shed`` envelope.
+
+        A deadline-bounded spin holds the only worker for the whole
+        burst, so the queue is full when ``vip`` arrives however fast
+        the machine is; the spin is high priority so it is never the
+        shed victim itself.
+        """
         monkeypatch.delenv(POISON_ENV, raising=False)
         with BackgroundServer(workers=1, queue_capacity=2) as bg:
             with ServeClient(
                 host=bg.server.host, port=bg.server.port
             ) as client:
                 ids = [client.submit(
-                    {"kind": "campaign", "builtin": "exp3", "seed": 11,
-                     "trials": 3, "priority": "low", "id": f"low-{i}"}
+                    {"kind": "run", "asm": SPIN_ASM, "deadline_s": 1,
+                     "priority": "high", "id": "spin"}
+                )]
+                ids += [client.submit(
+                    {"kind": "run", "source": HELLO_C, "priority": "low",
+                     "id": f"low-{i}"}
                 ) for i in range(4)]
                 ids.append(client.submit(
                     {"kind": "run", "source": HELLO_C, "priority": "high",
@@ -448,11 +560,34 @@ class TestChaosInvariants:
                 ))
                 responses = client.collect(ids)
         by_id = {r["job"]["id"]: r for r in responses}
+        assert by_id["spin"]["stats"]["limit"]["reason"] == "wallclock"
         assert by_id["vip"]["kind"] == "run"
         shed = [r for r in responses
                 if r["kind"] == "error" and r["reason"] == "shed"]
         assert len(shed) == 1
         assert shed[0]["job"]["id"].startswith("low-")
+
+    def test_waiting_job_stays_queued_behind_a_later_high_priority(
+        self, monkeypatch
+    ):
+        """With every worker busy, a pending job stays in the admission
+        queue: a later high-priority arrival runs before it."""
+        monkeypatch.delenv(POISON_ENV, raising=False)
+        with BackgroundServer(workers=1) as bg:
+            with ServeClient(
+                host=bg.server.host, port=bg.server.port
+            ) as client:
+                client.submit({"kind": "run", "asm": SPIN_ASM,
+                               "deadline_s": 1, "id": "spin"})
+                client.submit({"kind": "run", "source": HELLO_C,
+                               "priority": "low", "id": "low-a"})
+                time.sleep(0.2)
+                client.submit({"kind": "run", "source": HELLO_C,
+                               "priority": "low", "id": "low-b"})
+                client.submit({"kind": "run", "source": HELLO_C,
+                               "priority": "high", "id": "vip"})
+                order = [client.recv()["job"]["id"] for _ in range(4)]
+        assert order == ["spin", "vip", "low-a", "low-b"]
 
     def test_poison_exhausting_retries_is_a_terminal_envelope(
         self, monkeypatch

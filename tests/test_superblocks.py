@@ -1,10 +1,10 @@
 """Superblock tier and ExecOptions: fusion, SMC invalidation, digests.
 
-Covers the ISSUE 8 contract: the fused dispatch tier is a pure
-optimisation (byte-identical results with it on or off, across taint
-modes and pool widths), self-modifying-code writes force re-fusion
-without changing results, and the consolidated ``ExecOptions`` bundle
-validates once while the legacy kwargs warn exactly once per process.
+The fused dispatch tier is a pure optimisation (byte-identical results
+with it on or off, across taint modes and pool widths), self-modifying-
+code writes force re-fusion without changing results, and the
+``ExecOptions`` bundle validates once and is the only spelling of an
+execution knob: the retired flat kwargs raise :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings
 
 import pytest
 
-import repro.api as api
 from repro import ExecOptions, Session
 from repro.builder import build_machine
 from repro.isa.assembler import assemble
@@ -155,6 +154,8 @@ class TestExecOptionsValidation:
             ExecOptions(max_instructions=0)
         with pytest.raises(ValueError, match="superblocks"):
             ExecOptions(superblocks="yes")
+        with pytest.raises(ValueError, match="TraceConfig"):
+            ExecOptions(trace="t.jsonl")
 
     def test_coerce_accepts_dict_and_rejects_unknown_field(self):
         opts = ExecOptions.coerce({"engine": "pipeline", "workers": 2})
@@ -170,34 +171,48 @@ class TestExecOptionsValidation:
 
 
 class TestLegacyKwargAliases:
+    """The pre-ExecOptions flat kwargs are retired and fail loudly."""
+
     def test_mixing_options_and_kwargs_raises(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError):
             Session(options=ExecOptions(), use_caches=True)
 
-    def test_legacy_kwarg_warns_exactly_once_per_process(self):
-        saved = set(api._warned_legacy_kwargs)
-        api._warned_legacy_kwargs.clear()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                Session(use_caches=False)
-                Session(use_caches=True)
-            hits = [
-                w for w in caught
-                if issubclass(w.category, DeprecationWarning)
-                and "use_caches=" in str(w.message)
-            ]
-            assert len(hits) == 1
-        finally:
-            api._warned_legacy_kwargs.clear()
-            api._warned_legacy_kwargs.update(saved)
+    def test_retired_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Session(engine="pipeline")
+        with pytest.raises(TypeError):
+            Session(policy="paper")
+        exe = assemble(LOOP_PROGRAM)
+        with pytest.raises(TypeError, match="options="):
+            Session().run_executable(exe, max_instructions=5)
+        with pytest.raises(TypeError, match="options="):
+            Session().run_executable(exe, use_pipeline=True)
+        with pytest.raises(TypeError, match="options="):
+            Session().run_minic(
+                "int main(void) { return 0; }", superblocks=False
+            )
+        with pytest.raises(TypeError, match="options="):
+            Session().run_campaign(builtin="exp3", workers=2)
+        with pytest.raises(TypeError, match="options="):
+            Session().run_campaign(builtin="exp3", taint_labels=True)
+        with pytest.raises(TypeError):
+            Session().run_experiment("fig1", workers=2)
 
     def test_options_path_is_warning_free(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             session = Session(options=ExecOptions(use_caches=True))
-            assert session.use_caches is True
+            assert session.options.use_caches is True
         assert not [
             w for w in caught
             if issubclass(w.category, DeprecationWarning)
         ]
+
+    def test_per_call_options_replace_the_session_bundle(self):
+        session = Session(options=ExecOptions(max_instructions=5))
+        exe = assemble(LOOP_PROGRAM)
+        assert session.run_executable(exe).outcome == "limit"
+        result = session.run_executable(
+            exe, options=ExecOptions(max_instructions=100_000)
+        )
+        assert result.outcome == "exit" and result.exit_status == 150
